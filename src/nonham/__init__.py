@@ -30,6 +30,8 @@ from .formulas import (
     conj,
     disj,
     eval_formula,
+    formulas_from_table,
+    formulas_to_table,
     imp,
     parse_formula,
     to_text,
@@ -92,6 +94,8 @@ __all__ = [
     "eval_formula",
     "finalize_negation",
     "find_violation",
+    "formulas_from_table",
+    "formulas_to_table",
     "imp",
     "is_hamiltonian",
     "is_normal",

@@ -22,12 +22,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .artifact import loads_document
 from .bench import FAMILIES, fit_rows, run_bench, rows_to_csv, verdict_summary
 from .builder import MODES, build_refutation
 from .dagproof import (
     cleanse,
     coherence_failures,
     compress_horizontal,
+    dag_from_json,
     dag_metrics,
     dumps_dag,
     loads_dag,
@@ -52,7 +54,14 @@ from .formulas import is_implicational, to_text, weight
 from .graphs import is_hamiltonian, parse_graph
 from .implicational import translate_formula, translate_proof, translation_to_json, used_axioms
 from .kernels import selected_backend
-from .prooftree import check_tree, dumps_proof, is_normal, loads_proof, subformula_ok
+from .prooftree import (
+    check_tree,
+    dumps_proof,
+    is_normal,
+    loads_proof,
+    proof_from_json,
+    subformula_ok,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -180,14 +189,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = _read(args.artifact)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProofFormatError(f"bad JSON: {exc}") from None
-    if isinstance(data, list):
-        from .prooftree import proof_from_json
-
+    data = loads_document(_read(args.artifact))
+    if data["kind"] == "tree":
         proof = proof_from_json(data)
         metrics = check_tree(proof)
         closed = not metrics.open_assumptions
@@ -207,8 +210,6 @@ def cmd_verify(args) -> int:
             print("error: proof has open assumptions", file=sys.stderr)
             return EXIT_VERIFY
         return EXIT_OK
-    from .dagproof import dag_from_json
-
     dag = dag_from_json(data)
     metrics = verify_dag(dag)
     _report({
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("verify", help="re-check a serialized tree or dag proof")
-    p.add_argument("artifact", help="proof JSON (tree: array, dag: object)")
+    p.add_argument("artifact", help="tree or dag proof JSON, told apart by its \"kind\"")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -24,9 +24,9 @@ the soundness tests replay against the source tree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .artifact import dumps_document, formula_at, loads_document, open_document
 from .errors import (
     IllFormedDagError,
     NoCoherentChoiceError,
@@ -34,7 +34,7 @@ from .errors import (
     ProofFormatError,
     UnsupportedRuleError,
 )
-from .formulas import IMP, Formula, parse_formula, to_text
+from .formulas import IMP, Formula, formulas_to_table
 from .prooftree import (
     HYP,
     IMP_ELIM,
@@ -460,13 +460,21 @@ def tree_to_dag(p: ProofTree) -> DagProof:
                     had_duplicates=False)
 
 
+_DAG_FIELDS = frozenset({"id", "rule", "formula", "premises", "level"})
+
+
 def dag_to_json(d: DagProof) -> dict:
+    """Dag document: the formula table, the node array (`formula` holds a
+    table id), the root and the source tree's weight."""
+    table, fid = formulas_to_table(node.formula for node in d.nodes)
     return {
+        "kind": "dag",
+        "formulas": table,
         "nodes": [
             {
                 "id": i,
                 "rule": node.rule,
-                "formula": to_text(node.formula),
+                "formula": fid[node.formula],
                 "premises": list(node.premises),
                 "level": node.level,
             }
@@ -479,51 +487,37 @@ def dag_to_json(d: DagProof) -> dict:
 
 
 def dag_from_json(data) -> DagProof:
-    if not isinstance(data, dict) or "nodes" not in data:
-        raise ProofFormatError("dag document must be an object with a node array")
-    raw = data["nodes"]
-    if not isinstance(raw, list) or not raw:
-        raise ProofFormatError("dag node array must be nonempty")
+    """Rebuild a dag from its document. Schema errors raise ProofFormatError;
+    premise ranges are left to `verify_dag`."""
+    table, records = open_document(data, "dag", _DAG_FIELDS)
     nodes: list[DagNode] = []
-    for pos, rec in enumerate(raw):
-        if not isinstance(rec, dict):
-            raise ProofFormatError(f"dag node {pos}: not an object")
-        missing = {"id", "rule", "formula", "premises", "level"} - rec.keys()
-        if missing:
-            raise ProofFormatError(f"dag node {pos}: missing fields {sorted(missing)}")
-        if rec["id"] != pos:
-            raise ProofFormatError(f"dag node {pos}: id must equal its position")
+    for pos, rec in enumerate(records):
         if rec["rule"] not in DAG_RULES:
-            raise ProofFormatError(f"dag node {pos}: unknown rule {rec['rule']!r}")
-        if not isinstance(rec["premises"], list) or not all(
-            isinstance(q, int) for q in rec["premises"]
-        ):
+            raise ProofFormatError(f"dag node {pos}: unknown rule {rec['rule']!r:.40}")
+        prem = rec["premises"]
+        if not isinstance(prem, list) or not all(type(q) is int for q in prem):
             raise ProofFormatError(f"dag node {pos}: premises must be integer ids")
-        if not isinstance(rec["level"], int):
+        if type(rec["level"]) is not int:
             raise ProofFormatError(f"dag node {pos}: level must be an integer")
-        try:
-            f = parse_formula(rec["formula"])
-        except Exception as exc:
-            raise ProofFormatError(f"dag node {pos}: {exc}") from None
-        nodes.append(DagNode(f, rec["rule"], tuple(rec["premises"]), rec["level"]))
-    root = data.get("root", 0)
-    if not (isinstance(root, int) and 0 <= root < len(nodes)):
-        raise ProofFormatError("dag root out of range")
+        nodes.append(DagNode(formula_at(table, rec["formula"], pos), rec["rule"],
+                             tuple(prem), rec["level"]))
+    root = data.get("root")
+    if not (type(root) is int and 0 <= root < len(nodes)):
+        raise ProofFormatError("dag root must be a node id")
     stw = data.get("source_tree_weight")
-    if stw is not None and not isinstance(stw, int):
+    if stw is not None and type(stw) is not int:
         raise ProofFormatError("source_tree_weight must be an integer or null")
+    had_duplicates = data.get("had_duplicates")
+    if type(had_duplicates) is not bool:
+        raise ProofFormatError("had_duplicates must be true or false")
     return DagProof(nodes=nodes, root=root, source_tree_weight=stw,
-                    had_duplicates=bool(data.get("had_duplicates", False)))
+                    had_duplicates=had_duplicates)
 
 
 def dumps_dag(d: DagProof) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(dag_to_json(d), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text of the dag document."""
+    return dumps_document(dag_to_json(d))
 
 
 def loads_dag(text: str) -> DagProof:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProofFormatError(f"bad JSON: {exc}") from None
-    return dag_from_json(data)
+    return dag_from_json(loads_document(text))

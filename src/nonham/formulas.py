@@ -12,6 +12,12 @@ read them from anywhere.
 Proof objects downstream get large (antecedent chains nest thousands deep),
 so none of the walks here recurse: serialization, parsing and evaluation
 all run on explicit stacks.
+
+Artifacts store formulas as a table (`formulas_to_table`,
+`formulas_from_table`) that keeps the in-memory sharing: one entry per
+distinct formula, children before parents, each entry naming its children
+by table index. The sharing follows Filliâtre & Conchon, "Type-safe modular
+hash-consing" (2006).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import FormulaSyntaxError, UnboundVariableError
+from .errors import FormulaSyntaxError, ProofFormatError, UnboundVariableError
 
 BOT, VAR, AND, OR, IMP = range(5)
 
@@ -286,6 +292,78 @@ def parse_formula(text: str) -> Formula:
     if value is None:
         raise FormulaSyntaxError("incomplete formula")
     return value
+
+
+_TABLE_TAG = {AND: "&", OR: "|", IMP: "->"}
+_TAG_KIND = {tag: kind for kind, tag in _TABLE_TAG.items()}
+
+
+def formulas_to_table(roots: Iterable[Formula]) -> tuple[list[list], dict[Formula, int]]:
+    """Table entries for every distinct subformula of the roots, plus each
+    formula's index in the table.
+
+    Entries come in first-use order of a left-to-right postorder walk over
+    the roots in turn, so children always precede parents: `["false"]`,
+    `["var", name]`, or `[op, i, j]` with `op` one of `->`, `&`, `|` and
+    `i`, `j` the indices of the left and right parts.
+    """
+    index: dict[Formula, int] = {}
+    entries: list[list] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if f in index:
+                stack.pop()
+                continue
+            k = f.kind
+            if k == BOT:
+                entry = ["false"]
+            elif k == VAR:
+                entry = ["var", f.var.name]
+            elif f.left not in index:
+                stack.append(f.left)
+                continue
+            elif f.right not in index:
+                stack.append(f.right)
+                continue
+            else:
+                entry = [_TABLE_TAG[k], index[f.left], index[f.right]]
+            stack.pop()
+            index[f] = len(entries)
+            entries.append(entry)
+    return entries, index
+
+
+def formulas_from_table(entries) -> list[Formula]:
+    """Intern every entry of a formula table once; the inverse of
+    `formulas_to_table`. Each entry may only refer to earlier entries.
+
+    Any malformed table raises ProofFormatError.
+    """
+    if not isinstance(entries, list):
+        raise ProofFormatError("formula table must be a list")
+    out: list[Formula] = []
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or not entry or type(entry[0]) is not str:
+            raise ProofFormatError(f"formula {pos}: entry must be a list starting with a tag")
+        tag, size = entry[0], len(entry)
+        if tag == "false" and size == 1:
+            out.append(bot())
+        elif tag == "var" and size == 2 and type(entry[1]) is str:
+            try:
+                name = parse_var_name(entry[1])
+            except (FormulaSyntaxError, ValueError) as exc:
+                raise ProofFormatError(f"formula {pos}: {exc}") from None
+            out.append(_mk(VAR, name, None, None))
+        elif tag in _TAG_KIND and size == 3:
+            i, j = entry[1], entry[2]
+            if not (type(i) is int and type(j) is int and 0 <= i < pos and 0 <= j < pos):
+                raise ProofFormatError(f"formula {pos}: parts must be ids of earlier entries")
+            out.append(_mk(_TAG_KIND[tag], None, out[i], out[j]))
+        else:
+            raise ProofFormatError(f"formula {pos}: malformed {tag[:20]!r} entry")
+    return out
 
 
 def eval_formula(f: Formula, assignment: Mapping[VarName, bool]) -> bool:

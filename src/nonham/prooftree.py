@@ -27,10 +27,10 @@ walks here are iterative and memoized per node object.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
+from .artifact import dumps_document, formula_at, loads_document, open_document
 from .errors import IllFormedProofError, ProofFormatError
 from .formulas import (
     AND,
@@ -38,7 +38,7 @@ from .formulas import (
     OR,
     Formula,
     chain_disj,
-    parse_formula,
+    formulas_to_table,
     to_text,
 )
 
@@ -351,67 +351,64 @@ def subformula_ok(p: ProofTree, open_assumptions: frozenset[Formula] | None = No
     return all(f in allowed for f in node_formulas)
 
 
-def proof_to_json(p: ProofTree) -> list[dict]:
-    """Node array in dependency order; ids are positions; the root is last."""
-    ids: dict[int, int] = {}
-    nodes: list[dict] = []
-    for node in iter_nodes(p):
-        ids[id(node)] = len(nodes)
-        nodes.append({
-            "id": len(nodes),
+_TREE_FIELDS = frozenset({"id", "rule", "formula", "premises", "discharge"})
+
+
+def proof_to_json(p: ProofTree) -> dict:
+    """Tree document: the formula table, then the node array in dependency
+    order; node ids are positions, the root is last, and `formula` and
+    `discharge` hold table ids."""
+    order = list(iter_nodes(p))
+    table, fid = formulas_to_table(
+        f for node in order for f in (node.conclusion, *node.discharge)
+    )
+    ids = {id(node): pos for pos, node in enumerate(order)}
+    nodes = [
+        {
+            "id": pos,
             "rule": node.rule,
-            "formula": to_text(node.conclusion),
+            "formula": fid[node.conclusion],
             "premises": [ids[id(q)] for q in node.premises],
-            "discharge": [to_text(d) for d in node.discharge],
-        })
-    return nodes
+            "discharge": [fid[d] for d in node.discharge],
+        }
+        for pos, node in enumerate(order)
+    ]
+    return {"kind": "tree", "formulas": table, "nodes": nodes}
 
 
 def proof_from_json(data) -> ProofTree:
-    """Rebuild a proof from the node array; shared premises stay shared.
+    """Rebuild a proof from a tree document; shared premises stay shared.
 
     Schema errors raise ProofFormatError. The result is *not* checked;
     run `check_tree` on it.
     """
-    if not isinstance(data, list) or not data:
-        raise ProofFormatError("proof document must be a nonempty node array")
+    table, records = open_document(data, "tree", _TREE_FIELDS)
     built: list[ProofTree] = []
-    for pos, rec in enumerate(data):
-        if not isinstance(rec, dict):
-            raise ProofFormatError(f"node {pos}: not an object")
-        missing = {"id", "rule", "formula", "premises", "discharge"} - rec.keys()
-        if missing:
-            raise ProofFormatError(f"node {pos}: missing fields {sorted(missing)}")
-        if rec["id"] != pos:
-            raise ProofFormatError(f"node {pos}: id must equal its position, got {rec['id']!r}")
+    for pos, rec in enumerate(records):
         rule = rec["rule"]
         if rule not in RULES:
-            raise ProofFormatError(f"node {pos}: unknown rule {rule!r}")
+            raise ProofFormatError(f"node {pos}: unknown rule {rule!r:.40}")
         prem_ids = rec["premises"]
         if not isinstance(prem_ids, list) or not all(
-            isinstance(i, int) and 0 <= i < pos for i in prem_ids
+            type(i) is int and 0 <= i < pos for i in prem_ids
         ):
             raise ProofFormatError(f"node {pos}: premises must reference earlier ids")
         dis = rec["discharge"]
-        if not isinstance(dis, list) or not all(isinstance(s, str) for s in dis):
-            raise ProofFormatError(f"node {pos}: discharge must be a list of formulas")
-        try:
-            concl = parse_formula(rec["formula"])
-            dis_f = tuple(parse_formula(s) for s in dis)
-        except Exception as exc:
-            raise ProofFormatError(f"node {pos}: {exc}") from None
-        built.append(ProofTree(concl, rule, tuple(built[i] for i in prem_ids), dis_f))
+        if not isinstance(dis, list):
+            raise ProofFormatError(f"node {pos}: discharge must be a list of formula ids")
+        built.append(ProofTree(
+            formula_at(table, rec["formula"], pos),
+            rule,
+            tuple(built[i] for i in prem_ids),
+            tuple(formula_at(table, d, pos) for d in dis),
+        ))
     return built[-1]
 
 
 def dumps_proof(p: ProofTree) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(proof_to_json(p), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text of the tree document."""
+    return dumps_document(proof_to_json(p))
 
 
 def loads_proof(text: str) -> ProofTree:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProofFormatError(f"bad JSON: {exc}") from None
-    return proof_from_json(data)
+    return proof_from_json(loads_document(text))

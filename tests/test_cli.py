@@ -145,6 +145,40 @@ class TestPipelineChain:
         path.write_text("{oops", encoding="utf-8")
         assert main(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"formulas": [], "nodes": []},
+            {"kind": "graph", "formulas": [], "nodes": []},
+            {"kind": None},
+            [{"kind": "tree"}],
+        ],
+    )
+    def test_verify_needs_a_known_kind(self, tmp_path, capsys, doc):
+        path = tmp_path / "kindless.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert '"kind"' in capsys.readouterr().err
+
+    def test_verify_dispatches_on_kind(self, tmp_path, capsys):
+        tree = json.loads(dumps_proof(imp_intro(hyp(q_var("a")), q_var("a"))))
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(dict(tree, kind="dag")), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        assert main(["verify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "tree"
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000])
+    def test_verify_deeply_nested_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_compress_rejects_open_or_nonimplicational_input(self, tmp_path, capsys):
         path = tmp_path / "open.json"
         path.write_text(dumps_proof(hyp(q_var("a"))), encoding="utf-8")

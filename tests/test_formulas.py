@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from nonham.errors import FormulaSyntaxError, UnboundVariableError
+from nonham.errors import FormulaSyntaxError, ProofFormatError, UnboundVariableError
 from nonham.formulas import (
     AND,
     BOT,
@@ -24,6 +24,8 @@ from nonham.formulas import (
     distinct_weight,
     eval_formula,
     formula_vars,
+    formulas_from_table,
+    formulas_to_table,
     imp,
     is_implicational,
     parse_formula,
@@ -113,6 +115,75 @@ class TestText:
         for text in ("", "(Q_a ->", "Q_a Q_b", "(Q_a % Q_b)", "(Q_a -> ))"):
             with pytest.raises(FormulaSyntaxError):
                 parse_formula(text)
+
+
+class TestTable:
+    def test_entries_are_hash_consed_children_first(self):
+        f = imp(conj(A, B), imp(conj(A, B), bot()))
+        table, index = formulas_to_table([f, A])
+        assert table == [
+            ["var", "Q_a"],
+            ["var", "Q_b"],
+            ["&", 0, 1],
+            ["false"],
+            ["->", 2, 3],
+            ["->", 2, 4],
+        ]
+        assert index[f] == 5 and index[A] == 0 and len(index) == len(table)
+
+    def test_first_use_order_follows_the_roots(self):
+        table, index = formulas_to_table([B, imp(A, B), disj(X11, B)])
+        assert table == [["var", "Q_b"], ["var", "Q_a"], ["->", 1, 0],
+                         ["var", "X_1_1"], ["|", 3, 0]]
+        assert index[disj(X11, B)] == 4
+
+    @given(st.lists(formulas(), min_size=1, max_size=4))
+    def test_round_trip_interns_the_same_objects(self, fs):
+        table, index = formulas_to_table(fs)
+        rebuilt = formulas_from_table(table)
+        for f in fs:
+            assert rebuilt[index[f]] is f
+        assert len(set(rebuilt)) == len(rebuilt)
+
+    def test_deep_chain_does_not_recurse(self):
+        f = A
+        for _ in range(20000):
+            f = imp(B, f)
+        table, index = formulas_to_table([f])
+        assert len(table) == 20002
+        assert formulas_from_table(table)[index[f]] is f
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"0": ["false"]},
+            "false",
+            None,
+            [["->", 0, 0]],
+            [["false"], ["->", 0, 2], ["false"]],
+            [["false"], ["->", 0, 1]],
+            [["false"], ["->", 0, -1]],
+            [["false"], ["->", 0]],
+            [["false"], ["&", 0, 0, 0]],
+            [["false", 0]],
+            [["var"]],
+            [["var", "Q_a", "Q_b"]],
+            [["not", 0]],
+            [[]],
+            ["false"],
+            [[3, 0, 0]],
+            [["var", "p"]],
+            [["var", "X_0_1"]],
+            [["var", "X_" + "9" * 5000 + "_1"]],
+            [["var", 7]],
+            [["false"], ["->", False, False]],
+            [["false"], ["|", 0, True]],
+            [["false"], ["->", 0.0, 0]],
+        ],
+    )
+    def test_malformed_tables_rejected(self, table):
+        with pytest.raises(ProofFormatError):
+            formulas_from_table(table)
 
 
 class TestEvaluation:

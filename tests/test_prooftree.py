@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonham.errors import IllFormedProofError, ProofFormatError
-from nonham.formulas import bot, chain_disj, conj, disj, imp, q_var, to_text
+from nonham.formulas import bot, chain_disj, conj, disj, imp, q_var
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,
@@ -182,6 +182,13 @@ class TestNormality:
         assert subformula_ok(p)
 
 
+def edit_node(doc, pos, **fields):
+    """Copy of a document with node `pos` updated by `fields`."""
+    nodes = list(doc["nodes"])
+    nodes[pos] = dict(nodes[pos], **fields)
+    return dict(doc, nodes=nodes)
+
+
 class TestJson:
     def test_round_trip_preserves_check(self):
         p = imp_intro(or_elim(hyp(disj(A, A)), [hyp(A), hyp(A)], (A, A)), disj(A, A))
@@ -196,29 +203,42 @@ class TestJson:
         assert text.endswith("\n")
         assert ": " not in text and ", " not in text
         data = json.loads(text)
-        assert [rec["id"] for rec in data] == list(range(len(data)))
-        assert data[-1]["formula"] == to_text(imp(A, A))
-        assert data[0]["rule"] == "Hyp"
+        assert data["kind"] == "tree"
+        assert data["formulas"] == [["var", "Q_a"], ["->", 0, 0]]
+        assert [rec["id"] for rec in data["nodes"]] == [0, 1]
+        assert data["nodes"][0] == {"id": 0, "rule": "Hyp", "formula": 0,
+                                    "premises": [], "discharge": []}
+        assert data["nodes"][-1] == {"id": 1, "rule": "ImpIntro", "formula": 1,
+                                     "premises": [0], "discharge": [0]}
+
+    def test_each_formula_is_written_once(self):
+        p = hyp(imp(A, B))
+        for _ in range(30):
+            p = imp_intro(p, imp(A, B))
+        data = proof_to_json(p)
+        assert len(data["formulas"]) == 33
+        assert data["formulas"].count(["var", "Q_a"]) == 1
 
     def test_shared_premises_stay_shared(self):
         leaf = hyp(A)
         data = proof_to_json(and_intro(leaf, leaf))
-        assert len(data) == 2
+        assert len(data["nodes"]) == 2
         rebuilt = proof_from_json(data)
         assert rebuilt.premises[0] is rebuilt.premises[1]
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda d: {},
             lambda d: [],
-            lambda d: [dict(d[0], id=7)] + d[1:],
-            lambda d: [{k: v for k, v in d[0].items() if k != "rule"}] + d[1:],
-            lambda d: [dict(d[0], rule="Cut")] + d[1:],
-            lambda d: d[:-1] + [dict(d[-1], premises=[5])],
-            lambda d: d[:-1] + [dict(d[-1], premises=["0"])],
-            lambda d: d[:-1] + [dict(d[-1], discharge=[0])],
-            lambda d: [dict(d[0], formula="(p ->")] + d[1:],
+            lambda d: d["nodes"],
+            lambda d: edit_node(d, 0, id=7),
+            lambda d: dict(d, nodes=[{k: v for k, v in d["nodes"][0].items() if k != "rule"}]
+                           + d["nodes"][1:]),
+            lambda d: edit_node(d, 0, rule="Cut"),
+            lambda d: edit_node(d, 1, premises=[5]),
+            lambda d: edit_node(d, 1, premises=["0"]),
+            lambda d: edit_node(d, 1, discharge=["Q_a"]),
+            lambda d: edit_node(d, 0, formula="(p ->"),
         ],
     )
     def test_corrupted_documents_rejected(self, mutate):
@@ -226,21 +246,69 @@ class TestJson:
         with pytest.raises(ProofFormatError):
             proof_from_json(mutate(data))
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "kind"}, id="no-kind"),
+            pytest.param(lambda d: dict(d, kind="dag"), id="dag-kind"),
+            pytest.param(lambda d: dict(d, kind=["tree"]), id="unhashable-kind"),
+            pytest.param(lambda d: dict(d, nodes=[]), id="no-nodes"),
+            pytest.param(lambda d: dict(d, nodes={"0": d["nodes"][0]}), id="nodes-not-a-list"),
+            pytest.param(lambda d: dict(d, nodes=[0, 1]), id="node-not-an-object"),
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "formulas"},
+                         id="no-table"),
+            pytest.param(lambda d: dict(d, formulas={"0": ["var", "Q_a"]}),
+                         id="table-not-a-list"),
+            pytest.param(lambda d: dict(d, formulas=[["->", 1, 1], ["var", "Q_a"]]),
+                         id="forward-formula-reference"),
+            pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["->", 0, 1]]),
+                         id="self-formula-reference"),
+            pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["->", 0]]),
+                         id="wrong-arity"),
+            pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["<-", 0, 0]]),
+                         id="unknown-tag"),
+            pytest.param(lambda d: dict(d, formulas=[["var", "p"], ["->", 0, 0]]),
+                         id="bad-variable-name"),
+            pytest.param(lambda d: edit_node(d, 1, formula=2), id="formula-id-out-of-range"),
+            pytest.param(lambda d: edit_node(d, 1, formula=-1), id="formula-id-negative"),
+            pytest.param(lambda d: edit_node(d, 1, discharge=[9]),
+                         id="discharge-id-out-of-range"),
+            pytest.param(lambda d: edit_node(d, 1, discharge=0),
+                         id="discharge-not-a-list"),
+            pytest.param(lambda d: edit_node(d, 1, premises=0), id="premises-not-a-list"),
+            pytest.param(lambda d: edit_node(d, 1, premises=[1]), id="self-premise"),
+            pytest.param(lambda d: edit_node(d, 0, id=False), id="boolean-node-id"),
+            pytest.param(lambda d: edit_node(d, 1, premises=[False]), id="boolean-premise"),
+            pytest.param(lambda d: edit_node(d, 1, formula=True), id="boolean-formula-ref"),
+            pytest.param(lambda d: edit_node(d, 1, discharge=[False]),
+                         id="boolean-discharge-ref"),
+            pytest.param(lambda d: edit_node(d, 1, formula=1.0), id="float-formula-ref"),
+        ],
+    )
+    def test_malformed_documents_rejected(self, mutate):
+        data = proof_to_json(identity_proof(A))
+        proof_from_json(data)
+        with pytest.raises(ProofFormatError):
+            proof_from_json(mutate(data))
+
     def test_bad_json_text(self):
         with pytest.raises(ProofFormatError):
             loads_proof("{not json")
+        with pytest.raises(ProofFormatError):
+            loads_proof("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ProofFormatError):
+            loads_proof('{"kind": "tree", "nodes": [' + "9" * 5000 + "]}")
 
     def test_rebuilt_proofs_are_unchecked(self):
-        data = [
-            {"id": 0, "rule": "Hyp", "formula": "Q_a", "premises": [], "discharge": []},
-            {
-                "id": 1,
-                "rule": "ImpElim",
-                "formula": "Q_b",
-                "premises": [0, 0],
-                "discharge": [],
-            },
-        ]
+        data = {
+            "kind": "tree",
+            "formulas": [["var", "Q_a"], ["var", "Q_b"]],
+            "nodes": [
+                {"id": 0, "rule": "Hyp", "formula": 0, "premises": [], "discharge": []},
+                {"id": 1, "rule": "ImpElim", "formula": 1, "premises": [0, 0],
+                 "discharge": []},
+            ],
+        }
         p = proof_from_json(data)
         with pytest.raises(IllFormedProofError):
             check_tree(p)
@@ -270,6 +338,14 @@ class TestRandomProofs:
             assert f.weight >= 1
         text = dumps_proof(p)
         assert dumps_proof(loads_proof(text)) == text
+
+    @given(implicational_proofs())
+    @settings(max_examples=80)
+    def test_serialization_is_a_fixed_point(self, p):
+        text = dumps_proof(p)
+        q = loads_proof(text)
+        assert dumps_proof(q) == text
+        assert q.conclusion is p.conclusion
 
     @given(implicational_proofs())
     @settings(max_examples=40)
