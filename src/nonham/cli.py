@@ -12,6 +12,10 @@ Subcommands cover the pipeline stages plus a benchmark harness:
 
 Exit codes: 0 success, 2 malformed input, 3 the graph is Hamiltonian where
 a refutation was requested, 4 a verification failure.
+
+Reports cut formula text at REPORT_TEXT_LIMIT characters: an artifact's
+formula table can name formulas whose text is exponentially longer than the
+file. `verify` also reports the conclusion's weight, which is never cut.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HAMILTONIAN = 3
 EXIT_VERIFY = 4
+
+REPORT_TEXT_LIMIT = 1 << 16
 
 _INPUT_ERRORS = (
     GraphFormatError,
@@ -160,7 +166,7 @@ def cmd_translate(args) -> int:
         "weight": metrics.weight,
     }
     if args.json:
-        payload["translation"] = translation_to_json(translation)
+        payload["translation"] = translation_to_json(translation, limit=REPORT_TEXT_LIMIT)
     _report(payload, args.json)
     return EXIT_OK
 
@@ -203,7 +209,8 @@ def cmd_verify(args) -> int:
             "subformula_ok": subformula_ok(proof, metrics.open_assumptions),
             "height": metrics.height,
             "weight": metrics.weight,
-            "conclusion": to_text(proof.conclusion),
+            "conclusion": to_text(proof.conclusion, limit=REPORT_TEXT_LIMIT),
+            "conclusion_weight": weight(proof.conclusion),
         }
         _report(payload, args.json)
         if not closed:
@@ -218,7 +225,8 @@ def cmd_verify(args) -> int:
         "height": metrics.height,
         "weight": metrics.weight,
         "node_count": len(dag.nodes),
-        "conclusion": to_text(dag.conclusion),
+        "conclusion": to_text(dag.conclusion, limit=REPORT_TEXT_LIMIT),
+        "conclusion_weight": weight(dag.conclusion),
     }, args.json)
     return EXIT_OK
 

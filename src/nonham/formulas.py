@@ -79,10 +79,7 @@ class Formula:
     weight: int
 
     def __repr__(self) -> str:
-        text = to_text(self)
-        if len(text) > 72:
-            text = text[:69] + "..."
-        return f"<{text}>"
+        return f"<{to_text(self, limit=72)}>"
 
 
 _interned: dict = {}
@@ -200,26 +197,36 @@ def formula_vars(f: Formula) -> list[VarName]:
     return out
 
 
-def to_text(f: Formula) -> str:
-    """Render in the exchange syntax: `&`, `|`, `->`, `false`, full parens."""
+def to_text(f: Formula, limit: int | None = None) -> str:
+    """Render in the exchange syntax: `&`, `|`, `->`, `false`, full parens.
+
+    With a `limit`, text longer than `limit` characters comes back as its
+    first `limit` characters plus "...", and the walk stops there. Shared
+    subformulas are written out at every occurrence, so the full text can be
+    exponentially longer than the formula's table; reports and messages
+    about formulas read from a file pass a limit.
+    """
     out: list[str] = []
+    size = 0
     stack: list = [f]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
-            continue
-        k = item.kind
-        if k == BOT:
-            out.append("false")
-        elif k == VAR:
-            out.append(item.var.name)
+            piece = item
+        elif item.kind == BOT:
+            piece = "false"
+        elif item.kind == VAR:
+            piece = item.var.name
         else:
-            out.append("(")
+            piece = "("
             stack.append(")")
             stack.append(item.right)
-            stack.append(_OP_TEXT[k])
+            stack.append(_OP_TEXT[item.kind])
             stack.append(item.left)
+        out.append(piece)
+        size += len(piece)
+        if limit is not None and size > limit:
+            return "".join(out)[:limit] + "..."
     return "".join(out)
 
 
@@ -294,6 +301,12 @@ def parse_formula(text: str) -> Formula:
     return value
 
 
+# Largest weight a table entry may have. A table shares subformulas, so a few
+# entries can name a formula of exponential weight; refusing weights past
+# 2**40 (a terabyte written out, far beyond any proof this package builds)
+# keeps every weight a small integer.
+MAX_TABLE_WEIGHT = 2**40
+
 _TABLE_TAG = {AND: "&", OR: "|", IMP: "->"}
 _TAG_KIND = {tag: kind for kind, tag in _TABLE_TAG.items()}
 
@@ -337,7 +350,8 @@ def formulas_to_table(roots: Iterable[Formula]) -> tuple[list[list], dict[Formul
 
 def formulas_from_table(entries) -> list[Formula]:
     """Intern every entry of a formula table once; the inverse of
-    `formulas_to_table`. Each entry may only refer to earlier entries.
+    `formulas_to_table`. Each entry may only refer to earlier entries, and
+    none may weigh more than MAX_TABLE_WEIGHT.
 
     Any malformed table raises ProofFormatError.
     """
@@ -360,7 +374,10 @@ def formulas_from_table(entries) -> list[Formula]:
             i, j = entry[1], entry[2]
             if not (type(i) is int and type(j) is int and 0 <= i < pos and 0 <= j < pos):
                 raise ProofFormatError(f"formula {pos}: parts must be ids of earlier entries")
-            out.append(_mk(_TAG_KIND[tag], None, out[i], out[j]))
+            left, right = out[i], out[j]
+            if left.weight + right.weight + 1 > MAX_TABLE_WEIGHT:
+                raise ProofFormatError(f"formula {pos}: weight exceeds {MAX_TABLE_WEIGHT}")
+            out.append(_mk(_TAG_KIND[tag], None, left, right))
         else:
             raise ProofFormatError(f"formula {pos}: malformed {tag[:20]!r} entry")
     return out

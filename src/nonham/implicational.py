@@ -39,6 +39,7 @@ from .formulas import (
     Formula,
     imp,
     q_var,
+    to_text,
     weight,
 )
 from .prooftree import (
@@ -253,12 +254,16 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
     return out
 
 
-def translation_to_json(t: Translation) -> dict:
-    from .formulas import to_text
+def translation_to_json(t: Translation, limit: int | None = None) -> dict:
+    """The translation's formulas as text, each cut at `limit` characters
+    (see `to_text`)."""
+
+    def text(f: Formula) -> str:
+        return to_text(f, limit=limit)
 
     return {
-        "source": to_text(t.source),
-        "star": to_text(t.star_root) if t.star_root is not None else None,
-        "axioms": [to_text(a) for a in t.axioms],
-        "markers": [[to_text(src), to_text(q)] for src, q in t.qmap.items()],
+        "source": text(t.source),
+        "star": text(t.star_root) if t.star_root is not None else None,
+        "axioms": [text(a) for a in t.axioms],
+        "markers": [[text(src), text(q)] for src, q in t.qmap.items()],
     }

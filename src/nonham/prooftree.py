@@ -82,7 +82,7 @@ class ProofTree:
         self.discharge = tuple(discharge)
 
     def __repr__(self) -> str:
-        return f"<{self.rule} : {to_text(self.conclusion)[:60]}>"
+        return f"<{self.rule} : {to_text(self.conclusion, limit=60)}>"
 
 
 def hyp(f: Formula) -> ProofTree:

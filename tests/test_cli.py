@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nonham.cli import main
+from nonham.cli import REPORT_TEXT_LIMIT, main
 from nonham.dagproof import cleanse, compress_horizontal, dumps_dag
 from nonham.formulas import imp, q_var
 from nonham.prooftree import check_tree, hyp, imp_elim, imp_intro, dumps_proof, loads_proof
@@ -178,6 +178,40 @@ class TestPipelineChain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @staticmethod
+    def doubling_proof(entries):
+        """A closed proof of f -> f, where table entry k is (g -> g) for
+        entry k - 1: the text of f doubles with each entry."""
+        table = [["var", "Q_a"]] + [["->", i, i] for i in range(entries - 1)]
+        f = len(table) - 1
+        table.append(["->", f, f])
+        return {"kind": "tree", "formulas": table, "nodes": [
+            {"id": 0, "rule": "Hyp", "formula": f, "premises": [], "discharge": []},
+            {"id": 1, "rule": "ImpIntro", "formula": f + 1, "premises": [0], "discharge": [f]},
+        ]}
+
+    def test_exponential_formula_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps(self.doubling_proof(64)), encoding="utf-8")
+        for command in ("verify", "translate", "compress"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: formula 40: weight exceeds") and err.count("\n") == 1
+
+    def test_reports_cut_long_formula_text(self, tmp_path, capsys):
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps(self.doubling_proof(39)), encoding="utf-8")
+        assert main(["verify", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["conclusion_weight"] == 2**40 - 1
+        assert len(payload["conclusion"]) == REPORT_TEXT_LIMIT + 3
+        assert payload["conclusion"].endswith("...")
+        assert main(["translate", str(path), "--out", str(tmp_path / "imp.json"), "--json"]) == 0
+        translation = json.loads(capsys.readouterr().out)["translation"]
+        texts = [translation["source"], translation["star"], *translation["axioms"]]
+        texts += [t for pair in translation["markers"] for t in pair]
+        assert max(map(len, texts)) == REPORT_TEXT_LIMIT + 3
 
     def test_compress_rejects_open_or_nonimplicational_input(self, tmp_path, capsys):
         path = tmp_path / "open.json"

@@ -10,6 +10,7 @@ from nonham.formulas import (
     AND,
     BOT,
     IMP,
+    MAX_TABLE_WEIGHT,
     OR,
     VAR,
     Formula,
@@ -111,6 +112,20 @@ class TestText:
         assert to_text(conj(A, disj(B, bot()))) == "(Q_a & (Q_b | false))"
         assert to_text(X11) == "X_1_1"
 
+    def test_limit_cuts_long_text(self):
+        f = conj(A, disj(B, bot()))
+        assert to_text(f, limit=21) == to_text(f) == "(Q_a & (Q_b | false))"
+        assert to_text(f, limit=20) == "(Q_a & (Q_b | false)..."
+        assert to_text(f, limit=0) == "..."
+
+    def test_limit_bounds_shared_formulas(self):
+        f = A
+        for _ in range(200):
+            f = imp(f, f)
+        text = to_text(f, limit=100)
+        assert len(text) == 103 and text.startswith("((((") and text.endswith("...")
+        assert len(repr(f)) <= 77
+
     def test_parse_errors_are_reported(self):
         for text in ("", "(Q_a ->", "Q_a Q_b", "(Q_a % Q_b)", "(Q_a -> ))"):
             with pytest.raises(FormulaSyntaxError):
@@ -152,6 +167,12 @@ class TestTable:
         table, index = formulas_to_table([f])
         assert len(table) == 20002
         assert formulas_from_table(table)[index[f]] is f
+
+    def test_weight_is_capped(self):
+        doubling = [["var", "Q_a"]] + [["->", i, i] for i in range(39)]
+        assert formulas_from_table(doubling)[-1].weight == MAX_TABLE_WEIGHT - 1
+        with pytest.raises(ProofFormatError, match="weight"):
+            formulas_from_table(doubling + [["&", 39, 0]])
 
     @pytest.mark.parametrize(
         "table",
