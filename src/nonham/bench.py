@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from random import Random
 
 import numpy as np
-from scipy import stats
 
 from .builder import build_refutation
 from .dagproof import (
@@ -191,6 +190,8 @@ class GrowthFit:
 
 def fit_exponent(xs, ys) -> GrowthFit:
     """Least-squares slope of log(y) on log(x) with a 95% t-interval."""
+    from scipy import stats  # imported here: it costs about a second at startup
+
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray(ys, dtype=float))
     m = x.size

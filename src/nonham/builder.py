@@ -259,7 +259,6 @@ def build_refutation(g: Graph, mode: str = "auto",
     The per-mode caps guard the n^n (faithful) and violated-prefix (pruned)
     enumerations; pass `cap` to raise them deliberately.
     """
-    enc = encode_graph(g)
     used = resolve_mode(mode, g.n)
     limit = cap if cap is not None else (
         FAITHFUL_CAP if used == "faithful" else PRUNED_CAP)
@@ -267,6 +266,7 @@ def build_refutation(g: Graph, mode: str = "auto",
         raise CapExceededError(
             f"n={g.n} exceeds the {used} builder cap {limit}; "
             f"pass cap={g.n} to run anyway")
+    enc = encode_graph(g)
     tower, leaf_count = build_case_tower(g, enc, used)
     tower_height = check_tree(tower).height
     unfolded = unfold_nary(tower)

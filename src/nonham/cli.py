@@ -39,9 +39,8 @@ from .dagproof import (
     loads_dag,
     verify_dag,
 )
-from .encoding import SAT_CAP, encode_graph, satisfiable
+from .encoding import SAT_CAP, check_sat_cap, encode_graph, satisfiable
 from .errors import (
-    BackendUnavailableError,
     CapExceededError,
     FormulaSyntaxError,
     GraphFormatError,
@@ -57,7 +56,6 @@ from .errors import (
 from .formulas import is_implicational, to_text, weight
 from .graphs import is_hamiltonian, parse_graph
 from .implicational import translate_formula, translate_proof, translation_to_json, used_axioms
-from .kernels import selected_backend
 from .prooftree import (
     check_tree,
     dumps_proof,
@@ -80,7 +78,6 @@ _INPUT_ERRORS = (
     ProofFormatError,
     CapExceededError,
     UnsupportedRuleError,
-    BackendUnavailableError,
     OSError,
     ValueError,
 )
@@ -114,6 +111,7 @@ def _report(payload: dict, as_json: bool):
 
 def cmd_oracle(args) -> int:
     g = parse_graph(_read(args.graph))
+    check_sat_cap(g.n, args.sat_cap)
     witness = is_hamiltonian(g)
     sat = satisfiable(g, cap=args.sat_cap)
     if (witness is not None) != sat:
@@ -125,7 +123,6 @@ def cmd_oracle(args) -> int:
         "hamiltonian": witness is not None,
         "witness": list(witness) if witness else None,
         "encoding_satisfiable": sat,
-        "backend": selected_backend(),
     }, args.json)
     return EXIT_OK
 

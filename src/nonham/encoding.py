@@ -36,7 +36,7 @@ from .formulas import (
     x_var,
 )
 from .graphs import Graph, ordered_pairs
-from .kernels import compile_program, eval_batch, step_vertex_block
+from .kernels import Program, compile_program, eval_batch_numpy, step_vertex_block
 
 PART_TAGS = ("coverage", "repeat_ban", "step_occupied", "step_unique", "edge_ban")
 
@@ -142,29 +142,59 @@ def conjunct_path(enc: PathEncoding, tag: str, pos: int) -> list[str]:
     return part_path(enc, tag) + balanced_path(len(enc.conjuncts[tag]), pos)
 
 
-def satisfiable(g: Graph, cap: int = SAT_CAP, backend: str | None = None) -> bool:
+def check_sat_cap(n: int, cap: int = SAT_CAP) -> None:
+    """Refuse a satisfiability scan of n^n rows above the cap."""
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds sat cap {cap}")
+
+
+def _holds(prog: Program, seqs: np.ndarray) -> np.ndarray:
+    """Truth of prog on each column of a step-major (n, rows) vertex block."""
+    assigns = np.empty((len(prog.var_slots), seqs.shape[1]), dtype=bool)
+    for slot, name in enumerate(prog.var_slots):
+        np.equal(seqs[name.step - 1], name.vertex, out=assigns[slot])
+    return eval_batch_numpy(prog, assigns.T)
+
+
+def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     """Brute-force satisfiability of the encoding of g.
 
     Only functional assignments (exactly one vertex per step) are scanned:
     step_occupied and step_unique force any satisfying assignment to be
-    functional, so the restriction loses nothing. The scan is n^n rows,
-    evaluated in chunks on the selected kernel backend.
+    functional, so the restriction loses nothing. The formula is the
+    conjunction of its present parts, so a row satisfies it exactly when it
+    satisfies every part. The scan runs the first part (coverage, true only
+    on the n! permutations) over the n^n rows in chunks, buffers the rows it
+    keeps, and narrows the buffer part by part whenever it fills or the
+    scan ends.
     """
-    if g.n > cap:
-        raise CapExceededError(f"n={g.n} exceeds sat cap {cap}")
+    check_sat_cap(g.n, cap)
     enc = encode_graph(g)
-    prog = compile_program(enc.formula)
+    progs = [compile_program(enc.parts[tag]) for tag in enc.present]
+    for prog in progs:
+        for name in prog.var_slots:
+            if not isinstance(name, XVar):
+                raise AssertionError(f"unexpected variable in encoding: {name}")
+    first, rest = progs[0], progs[1:]
+
+    def narrow(rows: np.ndarray) -> bool:
+        for prog in rest:
+            rows = rows[:, _holds(prog, rows)]
+        return rows.shape[1] > 0
+
     n = g.n
-    for name in prog.var_slots:
-        if not isinstance(name, XVar):
-            raise AssertionError(f"unexpected variable in encoding: {name}")
     total = n**n
+    held: list[np.ndarray] = []
+    count = 0
     for lo in range(0, total, _CHUNK):
         hi = min(total, lo + _CHUNK)
-        seqs = step_vertex_block(n, lo, hi)
-        assigns = np.empty((hi - lo, len(prog.var_slots)), dtype=bool)
-        for slot, name in enumerate(prog.var_slots):
-            np.equal(seqs[:, name.step - 1], name.vertex, out=assigns[:, slot])
-        if eval_batch(prog, assigns, backend=backend).any():
-            return True
+        seqs = step_vertex_block(n, lo, hi).T
+        kept = seqs[:, _holds(first, seqs)]
+        if kept.shape[1]:
+            held.append(kept)
+            count += kept.shape[1]
+        if count and (count >= _CHUNK or hi == total):
+            if narrow(np.concatenate(held, axis=1)):
+                return True
+            held, count = [], 0
     return False

@@ -106,7 +106,3 @@ class IllFormedDagError(NonhamError):
     def __init__(self, node_id, reason: str):
         self.node_id = node_id
         super().__init__(f"ill-formed dag at node {node_id}: {reason}")
-
-
-class BackendUnavailableError(NonhamError):
-    """Raised when NONHAM_BACKEND requests a backend that cannot be loaded."""

@@ -1,28 +1,19 @@
-"""Batch truth-evaluation kernels.
+"""Batch truth-evaluation kernel.
 
 A formula is compiled once into flat postorder arrays (kind, arg0, arg1)
 plus a variable-slot table, then evaluated over a whole matrix of
-assignments at once. Two interchangeable backends do the sweep:
-
-* ``numpy``  - vectorized over the assignment axis, one pass over nodes;
-* ``numba``  - jitted scalar loop per assignment, compiled lazily.
-
-``NONHAM_BACKEND`` picks the backend: ``auto`` (default, prefer numba when
-importable), ``numba``, or ``numpy``. The two backends are differentially
-tested against each other and against the scalar evaluator.
+assignments at once by numpy, vectorized over the assignment axis with one
+pass over the nodes. The kernel is differentially tested against the scalar
+evaluator.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnavailableError
-from .formulas import AND, BOT, IMP, OR, VAR, Formula, VarName
-
-ENV_VAR = "NONHAM_BACKEND"
+from .formulas import AND, BOT, OR, VAR, Formula, VarName
 
 
 @dataclass(frozen=True)
@@ -97,109 +88,48 @@ def compile_program(f: Formula) -> Program:
 
 
 def eval_batch_numpy(prog: Program, assigns: np.ndarray) -> np.ndarray:
-    """Evaluate over a (batch, nvars) bool matrix; returns a (batch,) bool vector."""
-    a = np.ascontiguousarray(assigns, dtype=bool)
+    """Evaluate over a (batch, nvars) bool matrix; returns a (batch,) bool vector.
+
+    Each variable reads one column of the matrix, so a matrix whose columns
+    are contiguous (the transpose of a step-major (nvars, batch) array) is
+    evaluated without a copy.
+    """
+    a = np.asarray(assigns, dtype=bool)
     if a.ndim != 2 or a.shape[1] != len(prog.var_slots):
         raise ValueError(f"assignment matrix must be (batch, {len(prog.var_slots)})")
-    kinds, a0, a1 = prog.kinds, prog.arg0, prog.arg1
     vals = np.empty((prog.node_count, a.shape[0]), dtype=bool)
-    for i in range(prog.node_count):
-        k = kinds[i]
+    nodes = zip(prog.kinds.tolist(), prog.arg0.tolist(), prog.arg1.tolist())
+    for i, (k, x, y) in enumerate(nodes):
         if k == BOT:
             vals[i] = False
         elif k == VAR:
-            vals[i] = a[:, a0[i]]
+            vals[i] = a[:, x]
         elif k == AND:
-            np.logical_and(vals[a0[i]], vals[a1[i]], out=vals[i])
+            np.logical_and(vals[x], vals[y], out=vals[i])
         elif k == OR:
-            np.logical_or(vals[a0[i]], vals[a1[i]], out=vals[i])
+            np.logical_or(vals[x], vals[y], out=vals[i])
         else:
             # implication: left -> right  ==  right >= left on booleans
-            np.greater_equal(vals[a1[i]], vals[a0[i]], out=vals[i])
+            np.greater_equal(vals[y], vals[x], out=vals[i])
     return vals[-1].copy()
-
-
-_numba_kernel = None
-
-
-def _get_numba_kernel():
-    global _numba_kernel
-    if _numba_kernel is None:
-        try:
-            import numba
-        except ImportError as exc:  # pragma: no cover - numba is optional
-            raise BackendUnavailableError(f"numba backend unavailable: {exc}") from exc
-
-        @numba.njit(cache=True)
-        def kernel(kinds, a0, a1, assigns, out):  # pragma: no cover - jitted
-            nnodes = kinds.shape[0]
-            vals = np.empty(nnodes, dtype=np.bool_)
-            for s in range(assigns.shape[0]):
-                for i in range(nnodes):
-                    k = kinds[i]
-                    if k == 0:
-                        v = False
-                    elif k == 1:
-                        v = assigns[s, a0[i]]
-                    elif k == 2:
-                        v = vals[a0[i]] and vals[a1[i]]
-                    elif k == 3:
-                        v = vals[a0[i]] or vals[a1[i]]
-                    else:
-                        v = (not vals[a0[i]]) or vals[a1[i]]
-                    vals[i] = v
-                out[s] = vals[nnodes - 1]
-
-        _numba_kernel = kernel
-    return _numba_kernel
-
-
-def eval_batch_numba(prog: Program, assigns: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(assigns, dtype=bool)
-    if a.ndim != 2 or a.shape[1] != len(prog.var_slots):
-        raise ValueError(f"assignment matrix must be (batch, {len(prog.var_slots)})")
-    out = np.empty(a.shape[0], dtype=bool)
-    _get_numba_kernel()(prog.kinds, prog.arg0, prog.arg1, a, out)
-    return out
-
-
-def selected_backend() -> str:
-    """Resolve NONHAM_BACKEND to the backend name that will actually run."""
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice not in ("auto", "numba"):
-        raise BackendUnavailableError(f"unknown {ENV_VAR} value: {choice!r}")
-    try:
-        import numba  # noqa: F401
-    except ImportError as exc:
-        if choice == "numba":
-            raise BackendUnavailableError(f"numba backend unavailable: {exc}") from exc
-        return "numpy"
-    return "numba"
-
-
-def eval_batch(prog: Program, assigns: np.ndarray, backend: str | None = None) -> np.ndarray:
-    """Dispatch to the selected backend (env-controlled when backend is None)."""
-    name = backend or selected_backend()
-    if name == "numpy":
-        return eval_batch_numpy(prog, assigns)
-    if name == "numba":
-        return eval_batch_numba(prog, assigns)
-    raise BackendUnavailableError(f"unknown backend: {name!r}")
 
 
 def step_vertex_block(n: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the n^n table of vertex sequences.
 
     Row r is the base-n expansion of r (step 1 most significant), shifted to
-    vertices 1..n; column j holds the vertex visited at step j+1.
+    vertices 1..n; column j holds the vertex visited at step j+1. Columns
+    are contiguous, so the transpose is a step-major (n, rows) array.
     """
     idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n), dtype=np.int64)
+    quot = np.empty_like(idx)
+    out = np.empty((hi - lo, n), dtype=np.int64, order="F")
     for pos in range(n - 1, -1, -1):
-        out[:, pos] = idx % n + 1
-        idx //= n
+        # one division per digit: idx % n == idx - n * (idx // n)
+        np.floor_divide(idx, n, out=quot)
+        np.subtract(idx, quot * n, out=out[:, pos])
+        out[:, pos] += 1
+        idx, quot = quot, idx
     return out
 
 

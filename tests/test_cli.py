@@ -1,9 +1,15 @@
 """End-to-end command line tests driving main() with temp files."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import nonham
 from nonham.cli import REPORT_TEXT_LIMIT, main
 from nonham.dagproof import cleanse, compress_horizontal, dumps_dag
 from nonham.formulas import imp, q_var
@@ -39,7 +45,6 @@ class TestOracle:
         assert payload["hamiltonian"] is True
         assert payload["witness"] == [1, 2, 3]
         assert payload["encoding_satisfiable"] is True
-        assert payload["backend"] in ("numpy", "numba")
 
     def test_malformed_graph_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -53,6 +58,14 @@ class TestOracle:
     def test_sat_cap_guard(self, chain3, capsys):
         assert main(["oracle", chain3, "--sat-cap", "2"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_oversized_graph_is_refused_before_path_search(self, tmp_path, capsys):
+        g = write_graph(tmp_path / "empty50.graph", 50, [])
+        start = time.perf_counter()
+        assert main(["oracle", g]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sat cap" in err
 
 
 class TestEncode:
@@ -89,6 +102,14 @@ class TestProve:
         g = write_graph(tmp_path / "big.graph", 5, [])
         assert main(["prove", g, "--mode", "faithful"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_oversized_graph_is_refused_before_encoding(self, tmp_path, capsys):
+        g = write_graph(tmp_path / "empty50.graph", 50, [])
+        start = time.perf_counter()
+        assert main(["prove", g]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "builder cap" in err
 
 
 class TestPipelineChain:
@@ -263,3 +284,11 @@ class TestMisc:
             main(["--version"])
         assert err.value.code == 0
         assert "nonham" in capsys.readouterr().out
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(nonham.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, nonham.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -1,8 +1,13 @@
 """Tests for the path encoding: component counts, positions, and satisfiability."""
 
+from functools import reduce
+from random import Random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nonham import encoding
 from nonham.encoding import (
     PART_TAGS,
     SAT_CAP,
@@ -12,9 +17,9 @@ from nonham.encoding import (
     satisfiable,
 )
 from nonham.errors import CapExceededError
-from nonham.formulas import AND, XVar, bot, disj, eval_formula, imp, x_var
-from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs
-from nonham.kernels import bit_block, compile_program, eval_batch_numpy
+from nonham.formulas import AND, XVar, bot, conj, disj, eval_formula, imp, x_var
+from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
+from nonham.kernels import bit_block, compile_program, eval_batch_numpy, step_vertex_block
 
 
 def descend(f, path):
@@ -164,9 +169,37 @@ class TestSatisfiability:
         with pytest.raises(CapExceededError):
             satisfiable(Graph(4, frozenset()), cap=3)
 
-    def test_explicit_backend_agreement(self):
-        g = Graph(3, frozenset({(1, 3), (3, 2)}))
-        assert satisfiable(g, backend="numpy") == satisfiable(g)
+    def test_formula_is_the_left_fold_of_its_present_parts(self):
+        # the part-by-part scan is exact only because of this shape
+        graphs = [Graph(1, frozenset()), Graph(2, frozenset({(1, 2), (2, 1)}))]
+        graphs += list(enumerate_graphs(3))
+        graphs += [random_graph(Random(seed), 4) for seed in range(4)]
+        for g in graphs:
+            enc = encode_graph(g)
+            parts = [enc.parts[tag] for tag in enc.present]
+            assert reduce(conj, parts) is enc.formula
+
+    @pytest.mark.parametrize("n, chunk, seeds", [
+        (5, 7, range(8)), (5, 1000, range(8)), (6, 101, range(4))])
+    def test_part_scan_matches_whole_formula_over_functional_rows(
+            self, monkeypatch, n, chunk, seeds):
+        # chunks of 7 and 101 rows fill the buffer many times before the
+        # flush at the end of the scan; 1000 rows hold all 120 permutations
+        # of n=5, so only the flush at the end runs
+        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+        seqs = step_vertex_block(n, 0, n**n)
+        verdicts = set()
+        for seed in seeds:
+            g = random_graph(Random(seed), n, edge_prob=0.3)
+            prog = compile_program(encode_graph(g).formula)
+            rows = np.empty((n**n, len(prog.var_slots)), dtype=bool)
+            for slot, name in enumerate(prog.var_slots):
+                rows[:, slot] = seqs[:, name.step - 1] == name.vertex
+            want = bool(eval_batch_numpy(prog, rows).any())
+            assert satisfiable(g) == want
+            assert want == (is_hamiltonian(g) is not None)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestPinnedShapes:

@@ -1,12 +1,9 @@
-"""Tests for the flat evaluation kernels and backend selection."""
-
-import sys
+"""Tests for the flat evaluation kernel and the assignment blocks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonham.errors import BackendUnavailableError
 from nonham.formulas import (
     bot,
     conj,
@@ -18,13 +15,9 @@ from nonham.formulas import (
     x_var,
 )
 from nonham.kernels import (
-    ENV_VAR,
     bit_block,
     compile_program,
-    eval_batch,
-    eval_batch_numba,
     eval_batch_numpy,
-    selected_backend,
     step_vertex_block,
 )
 
@@ -83,6 +76,8 @@ class TestNumpyEval:
         for row, value in zip(rows, got):
             env = dict(zip(prog.var_slots, (bool(b) for b in row)))
             assert eval_formula(f, env) == bool(value)
+        # the SAT scan passes the transpose of a step-major matrix
+        assert np.array_equal(eval_batch_numpy(prog, np.ascontiguousarray(rows.T).T), got)
 
     def test_constant_programs(self):
         false_prog = compile_program(bot())
@@ -103,71 +98,6 @@ class TestNumpyEval:
         rows = np.array([[1, 0], [0, 0]])
         got = eval_batch_numpy(prog, rows)
         assert got.tolist() == [False, True]
-
-
-class TestNumbaEval:
-    def test_agrees_with_numpy_backend(self):
-        pytest.importorskip("numba")
-        f = imp(conj(q_var("a"), disj(q_var("b"), bot())), imp(q_var("c"), q_var("a")))
-        prog = compile_program(f)
-        rows = full_table(prog)
-        want = eval_batch_numpy(prog, rows)
-        got = eval_batch_numba(prog, rows)
-        assert np.array_equal(got, want)
-
-    def test_rejects_wrong_shapes(self):
-        prog = compile_program(conj(q_var("a"), q_var("b")))
-        with pytest.raises(ValueError):
-            eval_batch_numba(prog, np.zeros((2, 5), dtype=bool))
-
-
-class TestBackendSelection:
-    def test_auto_prefers_numba_when_installed(self, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert selected_backend() == "numba"
-
-    def test_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert selected_backend() == "numpy"
-
-    def test_value_is_normalized(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "  NumPy ")
-        assert selected_backend() == "numpy"
-        monkeypatch.setenv(ENV_VAR, "auto")
-        auto = selected_backend()
-        monkeypatch.setenv(ENV_VAR, "")
-        assert selected_backend() == auto
-
-    def test_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "cuda")
-        with pytest.raises(BackendUnavailableError):
-            selected_backend()
-
-    def test_dispatch_follows_env(self, monkeypatch):
-        prog = compile_program(disj(q_var("a"), q_var("b")))
-        rows = bit_block(2, 0, 4)
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        via_env = eval_batch(prog, rows)
-        assert via_env.tolist() == [False, True, True, True]
-        with pytest.raises(BackendUnavailableError):
-            eval_batch(prog, rows, backend="gpu")
-
-    def test_numba_dispatch_agrees_with_numpy(self, monkeypatch):
-        pytest.importorskip("numba")
-        prog = compile_program(disj(q_var("a"), q_var("b")))
-        rows = bit_block(2, 0, 4)
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        via_env = eval_batch(prog, rows)
-        assert np.array_equal(eval_batch(prog, rows, backend="numba"), via_env)
-
-    def test_falls_back_to_numpy_without_numba(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.setenv(ENV_VAR, "auto")
-        assert selected_backend() == "numpy"
-        monkeypatch.setenv(ENV_VAR, "numba")
-        with pytest.raises(BackendUnavailableError):
-            selected_backend()
 
 
 class TestAssignmentBlocks:
