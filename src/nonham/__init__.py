@@ -9,13 +9,14 @@ compressed into a dag proof that an independent checker re-verifies.
 
 from .builder import BuildReport, build_case_tower, build_leaf, build_refutation, finalize_negation, unfold_nary
 from .dagproof import (
+    Compression,
     DagNode,
     DagProof,
     OriginMap,
     cleanse,
     coherence_failures,
+    compress_and_verify,
     compress_horizontal,
-    dag_metrics,
     dumps_dag,
     loads_dag,
     tree_to_dag,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuildReport",
+    "Compression",
     "DagNode",
     "DagProof",
     "Formula",
@@ -83,9 +85,9 @@ __all__ = [
     "check_tree",
     "cleanse",
     "coherence_failures",
+    "compress_and_verify",
     "compress_horizontal",
     "conj",
-    "dag_metrics",
     "disj",
     "dumps_dag",
     "dumps_proof",

@@ -20,17 +20,9 @@ from random import Random
 
 import numpy as np
 
-from .builder import build_refutation
-from .dagproof import (
-    cleanse,
-    coherence_failures,
-    compress_horizontal,
-    dag_height,
-    dumps_dag,
-    loads_dag,
-    verify_dag,
-)
-from .errors import NonhamError, OpenAssumptionsError
+from .builder import build_refutation, check_builder_cap
+from .dagproof import compress_and_verify
+from .errors import CapExceededError, NonhamError
 from .formulas import weight
 from .graphs import Graph, is_hamiltonian, random_graph
 from .implicational import translate_formula, translate_proof
@@ -135,28 +127,9 @@ def pipeline_row(g: Graph, mode: str = "auto", cap: int | None = None) -> BenchR
     if tree_metrics.open_assumptions:
         raise NonhamError("translated proof is not closed")
 
-    dag, origin = compress_horizontal(imp_proof)
-    incoherent = len(coherence_failures(dag, origin))
-    star = cleanse(dag, origin, source=imp_proof, strict=False)
-
-    # replay from bytes: what gets written must check out on its own
-    reloaded_tree = loads_proof(dumps_proof(imp_proof))
-    replay_metrics = check_tree(reloaded_tree)
-    if replay_metrics != tree_metrics:
+    if check_tree(loads_proof(dumps_proof(imp_proof))) != tree_metrics:
         raise NonhamError("tree proof does not replay from its serialization")
-    reloaded = loads_dag(dumps_dag(star))
-    if reloaded.conclusion is not imp_proof.conclusion:
-        raise NonhamError("dag conclusion drifted from the translated goal")
-
-    try:
-        dag_checked = verify_dag(reloaded)
-        dag_w, dag_h = dag_checked.weight, dag_checked.height
-        verified, verdict = True, "verified"
-    except OpenAssumptionsError as exc:
-        dag_w = sum(node.formula.weight for node in reloaded.nodes)
-        dag_h = dag_height(reloaded)
-        verified = False
-        verdict = f"open_assumptions[{len(exc.open_set)}]"
+    c = compress_and_verify(imp_proof)
 
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return BenchRow(
@@ -166,13 +139,13 @@ def pipeline_row(g: Graph, mode: str = "auto", cap: int | None = None) -> BenchR
         tree_height=tree_metrics.height,
         tree_weight=tree_metrics.weight,
         tree_distinct_weight=tree_metrics.distinct_formula_weight,
-        dag_weight=dag_w,
-        dag_height=dag_h,
-        compression_ratio=tree_metrics.weight / dag_w,
+        dag_weight=c.weight,
+        dag_height=c.height,
+        compression_ratio=tree_metrics.weight / c.weight,
         wall_time_ms=elapsed_ms,
-        incoherent_s=incoherent,
-        dag_verified=verified,
-        verdict=verdict,
+        incoherent_s=c.incoherent,
+        dag_verified=c.verified,
+        verdict=c.verdict,
     )
 
 
@@ -220,12 +193,21 @@ def fit_rows(rows: list[BenchRow]) -> GrowthFit | None:
 
 def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
               mode: str = "auto", cap: int | None = None, log=None) -> list[BenchRow]:
-    """Rows for a family, in (n, graph) order. A graph whose artifacts
-    cannot be built at all is reported to `log` and skipped; verification
-    verdicts on built artifacts live on the rows themselves."""
+    """Rows for a family, in (n, graph) order. An n above the builder cap
+    is reported to `log` and skipped before any graph is drawn, and so is a
+    graph whose artifacts cannot be built at all; verification verdicts on
+    built artifacts live on the rows themselves."""
     log = log if log is not None else sys.stderr
+    buildable = []
+    for n in n_values:
+        try:
+            check_builder_cap(n, mode, cap)
+        except CapExceededError as exc:
+            print(f"bench: n={n}: {exc}", file=log)
+        else:
+            buildable.append(n)
     rows: list[BenchRow] = []
-    for n, g in family_graphs(family, n_values, seed=seed, count=count):
+    for n, g in family_graphs(family, buildable, seed=seed, count=count):
         try:
             rows.append(pipeline_row(g, mode=mode, cap=cap))
         except NonhamError as exc:

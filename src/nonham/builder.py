@@ -54,6 +54,7 @@ from .prooftree import (
     hyp,
     imp_elim,
     imp_intro,
+    iter_nodes,
     or_elim,
 )
 
@@ -71,6 +72,19 @@ def resolve_mode(mode: str, n: int) -> str:
     if mode == "auto":
         return "faithful" if n <= FAITHFUL_CAP else "pruned"
     return mode
+
+
+def check_builder_cap(n: int, mode: str = "auto", cap: int | None = None) -> str:
+    """The mode `build_refutation` uses at n; refuses n above that mode's
+    cap, or above `cap` when one is given."""
+    used = resolve_mode(mode, n)
+    limit = cap if cap is not None else (
+        FAITHFUL_CAP if used == "faithful" else PRUNED_CAP)
+    if n > limit:
+        raise CapExceededError(
+            f"n={n} exceeds the {used} builder cap {limit}; "
+            f"pass cap={n} to run anyway")
+    return used
 
 
 def elim_chain(start: ProofTree, path: list[str]) -> ProofTree:
@@ -184,25 +198,14 @@ def unfold_nary(p: ProofTree) -> ProofTree:
     preserved. Shared subproofs are transformed once.
     """
     memo: dict[int, ProofTree] = {}
-    stack: list[tuple[ProofTree, bool]] = [(p, False)]
-    while stack:
-        node, expanded = stack.pop()
-        nid = id(node)
-        if nid in memo:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for ch in reversed(node.premises):
-                if id(ch) not in memo:
-                    stack.append((ch, False))
-            continue
+    for node in iter_nodes(p):
         prem = [memo[id(ch)] for ch in node.premises]
         if node.rule != OR_ELIM or len(prem) == 3:
             if all(a is b for a, b in zip(prem, node.premises)):
-                memo[nid] = node
+                memo[id(node)] = node
             else:
-                memo[nid] = ProofTree(node.conclusion, node.rule, tuple(prem),
-                                      node.discharge)
+                memo[id(node)] = ProofTree(node.conclusion, node.rule, tuple(prem),
+                                           node.discharge)
             continue
         major, *cases = prem
         ds = list(node.discharge)
@@ -217,7 +220,7 @@ def unfold_nary(p: ProofTree) -> ProofTree:
         for m in range(k - 2, -1, -1):
             maj_m = major if m == 0 else hyp(suffix(m))
             acc = or_elim(maj_m, [cases[m], acc], (ds[m], suffix(m + 1)))
-        memo[nid] = acc
+        memo[id(node)] = acc
     return memo[id(p)]
 
 
@@ -259,13 +262,7 @@ def build_refutation(g: Graph, mode: str = "auto",
     The per-mode caps guard the n^n (faithful) and violated-prefix (pruned)
     enumerations; pass `cap` to raise them deliberately.
     """
-    used = resolve_mode(mode, g.n)
-    limit = cap if cap is not None else (
-        FAITHFUL_CAP if used == "faithful" else PRUNED_CAP)
-    if g.n > limit:
-        raise CapExceededError(
-            f"n={g.n} exceeds the {used} builder cap {limit}; "
-            f"pass cap={g.n} to run anyway")
+    used = check_builder_cap(g.n, mode, cap)
     enc = encode_graph(g)
     tower, leaf_count = build_case_tower(g, enc, used)
     tower_height = check_tree(tower).height

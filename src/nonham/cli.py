@@ -29,17 +29,8 @@ from . import __version__
 from .artifact import loads_document
 from .bench import FAMILIES, fit_rows, run_bench, rows_to_csv, verdict_summary
 from .builder import MODES, build_refutation
-from .dagproof import (
-    cleanse,
-    coherence_failures,
-    compress_horizontal,
-    dag_from_json,
-    dag_metrics,
-    dumps_dag,
-    loads_dag,
-    verify_dag,
-)
-from .encoding import SAT_CAP, check_sat_cap, encode_graph, satisfiable
+from .dagproof import compress_and_verify, dag_from_json, verify_dag
+from .encoding import SAT_CAP, check_encode_cap, check_sat_cap, encode_graph, satisfiable
 from .errors import (
     CapExceededError,
     FormulaSyntaxError,
@@ -129,6 +120,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_encode(args) -> int:
     g = parse_graph(_read(args.graph))
+    check_encode_cap(g.n)
     enc = encode_graph(g)
     _emit(to_text(enc.formula) + "\n", args.out)
     _report({
@@ -175,19 +167,17 @@ def cmd_compress(args) -> int:
         raise UnsupportedRuleError(
             "compression expects a closed, purely implicational proof"
         )
-    dag, origin = compress_horizontal(proof)
-    incoherent = coherence_failures(dag, origin)
-    star = cleanse(dag, origin, source=proof, strict=False)
-    try:
-        verify_dag(star)
-        verdict = "verified"
-    except OpenAssumptionsError as exc:
-        verdict = f"open_assumptions[{len(exc.open_set)}]"
-    _emit(dumps_dag(star), args.out)
-    payload = dag_metrics(star)
-    payload["incoherent_s"] = len(incoherent)
-    payload["verdict"] = verdict
-    _report(payload, args.json)
+    c = compress_and_verify(proof)
+    _emit(c.text, args.out)
+    _report({
+        "weight": c.weight,
+        "height": c.height,
+        "node_count": len(c.cleansed.nodes),
+        "conclusion_weight": c.cleansed.conclusion.weight,
+        "compression_ratio": metrics.weight / c.weight,
+        "incoherent_s": c.incoherent,
+        "verdict": c.verdict,
+    }, args.json)
     return EXIT_OK
 
 

@@ -20,6 +20,10 @@ is transparent and S is rejected.
 
 An `OriginMap` records where every tree occurrence landed, which is what
 the soundness tests replay against the source tree.
+
+`compress_and_verify` is the one copy of the whole sequence: compress,
+count incoherent separation nodes, cleanse, serialize, reload, and verify
+the reloaded dag. The CLI, the bench and the acceptance tests all call it.
 """
 
 from __future__ import annotations
@@ -424,19 +428,6 @@ def dag_height(d: DagProof) -> int:
     return heights[d.root]
 
 
-def dag_metrics(d: DagProof) -> dict:
-    """Size summary; the ratio compares against the source tree when known."""
-    w = sum(node.formula.weight for node in d.nodes)
-    ratio = None if d.source_tree_weight is None else d.source_tree_weight / w
-    return {
-        "weight": w,
-        "height": dag_height(d),
-        "node_count": len(d.nodes),
-        "conclusion_weight": d.conclusion.weight,
-        "compression_ratio": ratio,
-    }
-
-
 def tree_to_dag(p: ProofTree) -> DagProof:
     """Embed a tree proof as a dag without merging (one node per occurrence)."""
     occ_nodes, occ_parent, occ_level, occ_children = _occurrence_walk(p)
@@ -521,3 +512,54 @@ def dumps_dag(d: DagProof) -> str:
 
 def loads_dag(text: str) -> DagProof:
     return dag_from_json(loads_document(text))
+
+
+@dataclass
+class Compression:
+    """Outcome of compressing one closed implicational tree proof.
+
+    `dag` is the compression before the collapse; `cleansed` is the
+    collapsed dag as reloaded from `text`, its canonical JSON. `weight` and
+    `height` are the cleansed dag's, and `open_set` holds the assumptions
+    the verifier found open (empty when it accepted the dag).
+    """
+
+    dag: DagProof
+    cleansed: DagProof
+    text: str
+    incoherent: int
+    weight: int
+    height: int
+    open_set: frozenset[Formula]
+
+    @property
+    def verified(self) -> bool:
+        return not self.open_set
+
+    @property
+    def verdict(self) -> str:
+        return "verified" if self.verified else f"open_assumptions[{len(self.open_set)}]"
+
+
+def compress_and_verify(p: ProofTree) -> Compression:
+    """Compress `p`, collapse its separation nodes, and verify the dag as
+    reloaded from its JSON.
+
+    Open assumptions in the cleansed dag are an experimental outcome of the
+    compression and are recorded, not raised; any other verifier rejection
+    raises, and so does a reloaded conclusion that is not `p`'s.
+    """
+    dag, origin = compress_horizontal(p)
+    incoherent = len(coherence_failures(dag, origin))
+    text = dumps_dag(cleanse(dag, origin, source=p, strict=False))
+    cleansed = loads_dag(text)
+    if cleansed.conclusion is not p.conclusion:
+        raise IllFormedDagError(cleansed.root, "conclusion drifted from the source proof")
+    try:
+        metrics = verify_dag(cleansed)
+        weight, height, open_set = metrics.weight, metrics.height, frozenset()
+    except OpenAssumptionsError as exc:
+        weight = sum(node.formula.weight for node in cleansed.nodes)
+        height = dag_height(cleansed)
+        open_set = exc.open_set
+    return Compression(dag, cleansed, text, incoherent, weight, height, open_set)

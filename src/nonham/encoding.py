@@ -41,6 +41,10 @@ from .kernels import Program, compile_program, eval_batch_numpy, step_vertex_blo
 PART_TAGS = ("coverage", "repeat_ban", "step_occupied", "step_unique", "edge_ban")
 
 SAT_CAP = 7
+# `nonham encode` refuses larger graphs: the encoding has about n^3
+# conjuncts, and encoding and printing an empty n=27 graph (2 MB of text)
+# takes about a second on a 2-core Xeon VM
+ENCODE_CAP = 27
 
 _CHUNK = 1 << 14
 
@@ -146,6 +150,12 @@ def check_sat_cap(n: int, cap: int = SAT_CAP) -> None:
     """Refuse a satisfiability scan of n^n rows above the cap."""
     if n > cap:
         raise CapExceededError(f"n={n} exceeds sat cap {cap}")
+
+
+def check_encode_cap(n: int) -> None:
+    """Refuse to encode and print a graph above ENCODE_CAP."""
+    if n > ENCODE_CAP:
+        raise CapExceededError(f"n={n} exceeds encode cap {ENCODE_CAP}")
 
 
 def _holds(prog: Program, seqs: np.ndarray) -> np.ndarray:

@@ -139,11 +139,6 @@ def weight(f: Formula) -> int:
     return f.weight
 
 
-def distinct_weight(formulas: Iterable[Formula]) -> int:
-    """Sum of weights over the *distinct* formulas in the iterable."""
-    return sum(g.weight for g in set(formulas))
-
-
 def is_implicational(f: Formula) -> bool:
     """True when the formula uses only variables and implication."""
     stack = [f]
@@ -174,27 +169,6 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         if g.kind in (AND, OR, IMP):
             stack.append(g.right)
             stack.append(g.left)
-
-
-def formula_vars(f: Formula) -> list[VarName]:
-    """Variable names in first-encounter order of a left-to-right walk."""
-    out: list[VarName] = []
-    seen_vars = set()
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if g.kind == VAR:
-            if g.var not in seen_vars:
-                seen_vars.add(g.var)
-                out.append(g.var)
-        elif g.kind != BOT:
-            stack.append(g.right)
-            stack.append(g.left)
-    return out
 
 
 def to_text(f: Formula, limit: int | None = None) -> str:

@@ -8,6 +8,7 @@ and ``#`` comments are allowed anywhere.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator, Sequence
@@ -67,6 +68,9 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the ``n m`` edge-list format with 1-based line numbers in errors."""
     if isinstance(text, bytes):
@@ -79,9 +83,12 @@ def parse_graph(text: str) -> Graph:
         if not line:
             continue
         fields = line.split()
-        if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
-            raise GraphFormatError(f"expected two integers, got {raw.strip()!r}", lineno)
-        a, b = int(fields[0]), int(fields[1])
+        if len(fields) != 2 or not all(_INTEGER.fullmatch(f) for f in fields):
+            raise GraphFormatError(f"expected two integers, got {raw.strip()!r:.80}", lineno)
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:  # more digits than int() converts
+            raise GraphFormatError("integer too long", lineno) from None
         if header is None:
             if a < 1:
                 raise GraphFormatError(f"vertex count must be positive, got {a}", lineno)

@@ -49,10 +49,12 @@ from .prooftree import (
     IMP_ELIM,
     IMP_INTRO,
     OR_ELIM,
+    RULES,
     ProofTree,
     hyp,
     imp_elim,
     imp_intro,
+    iter_nodes,
 )
 
 
@@ -163,9 +165,6 @@ def translate_formula(gamma: Formula) -> Translation:
     return t
 
 
-_SOURCE_RULES = frozenset({HYP, IMP_INTRO, IMP_ELIM, AND_ELIM_L, AND_ELIM_R, OR_ELIM})
-
-
 def used_axioms(p: ProofTree, t: Translation) -> list[Formula]:
     """Axioms the translated proof will use, ordered by first use in a
     preorder walk of the source. Creates case axioms on demand."""
@@ -185,7 +184,7 @@ def used_axioms(p: ProofTree, t: Translation) -> list[Formula]:
             continue
         seen.add(id(node))
         r = node.rule
-        if r not in _SOURCE_RULES:
+        if r not in RULES:
             raise UnsupportedRuleError(f"cannot translate rule {r}")
         if r == AND_ELIM_L:
             src = node.premises[0].conclusion
@@ -213,18 +212,7 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
     order = used_axioms(p, t)
 
     memo: dict[int, ProofTree] = {}
-    stack: list[tuple[ProofTree, bool]] = [(p, False)]
-    while stack:
-        node, expanded = stack.pop()
-        nid = id(node)
-        if nid in memo:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for ch in reversed(node.premises):
-                if id(ch) not in memo:
-                    stack.append((ch, False))
-            continue
+    for node in iter_nodes(p):
         r = node.rule
         prem = [memo[id(ch)] for ch in node.premises]
         if r == HYP:
@@ -246,7 +234,7 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
             w1 = imp_intro(c1, t.star(d1))
             w2 = imp_intro(c2, t.star(d2))
             out = imp_elim(imp_elim(imp_elim(hyp(ax), w1), w2), major)
-        memo[nid] = out
+        memo[id(node)] = out
 
     out = memo[id(p)]
     for ax in reversed(order):

@@ -11,8 +11,6 @@ Rules (premise order is fixed and checked):
 * ImpIntro(p; [a])         - concludes a -> c from p : c, discharging a
 * ImpElim(maj, min)        - maj : a -> c, min : a, concludes c
 * AndElimL / AndElimR(p)   - p : a & b, concludes a / b
-* AndIntro(l, r)           - concludes l & r
-* OrIntroL(p) / OrIntroR(p)- concludes p | b / a | p
 * OrElimN(maj, c1..ck; [d1..dk]) - maj proves the right-nested chain
   d1 | (d2 | ... | dk), each case ci proves the common conclusion under di
 
@@ -21,12 +19,13 @@ size metrics plus the open assumption set. Builders construct proofs
 through the helper constructors below, which enforce the same shapes at
 construction time; the kernel never trusts them.
 
-Proofs share subtrees freely (the builders memoize aggressively), so all
-walks here are iterative and memoized per node object.
+Proofs share subtrees freely (the builders memoize aggressively), so every
+walk here goes through `iter_nodes`, which visits each node object once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,24 +46,10 @@ IMP_INTRO = "ImpIntro"
 IMP_ELIM = "ImpElim"
 AND_ELIM_L = "AndElimL"
 AND_ELIM_R = "AndElimR"
-AND_INTRO = "AndIntro"
-OR_INTRO_L = "OrIntroL"
-OR_INTRO_R = "OrIntroR"
 OR_ELIM = "OrElimN"
 
-RULES = (
-    HYP,
-    IMP_INTRO,
-    IMP_ELIM,
-    AND_ELIM_L,
-    AND_ELIM_R,
-    AND_INTRO,
-    OR_INTRO_L,
-    OR_INTRO_R,
-    OR_ELIM,
-)
+RULES = (HYP, IMP_INTRO, IMP_ELIM, AND_ELIM_L, AND_ELIM_R, OR_ELIM)
 
-_INTRO_RULES = frozenset({IMP_INTRO, AND_INTRO, OR_INTRO_L, OR_INTRO_R})
 _ELIM_RULES = frozenset({IMP_ELIM, AND_ELIM_L, AND_ELIM_R, OR_ELIM})
 
 IMPLICATIONAL_RULES = frozenset({HYP, IMP_INTRO, IMP_ELIM})
@@ -117,24 +102,6 @@ def and_elim_r(premise: ProofTree) -> ProofTree:
     return ProofTree(pc.right, AND_ELIM_R, (premise,))
 
 
-def and_intro(left: ProofTree, right: ProofTree) -> ProofTree:
-    from .formulas import conj
-
-    return ProofTree(conj(left.conclusion, right.conclusion), AND_INTRO, (left, right))
-
-
-def or_intro_l(premise: ProofTree, right: Formula) -> ProofTree:
-    from .formulas import disj
-
-    return ProofTree(disj(premise.conclusion, right), OR_INTRO_L, (premise,))
-
-
-def or_intro_r(premise: ProofTree, left: Formula) -> ProofTree:
-    from .formulas import disj
-
-    return ProofTree(disj(left, premise.conclusion), OR_INTRO_R, (premise,))
-
-
 def or_elim(major: ProofTree, cases: list[ProofTree],
             disjuncts: tuple[Formula, ...]) -> ProofTree:
     if len(cases) < 2 or len(cases) != len(disjuncts):
@@ -164,85 +131,84 @@ class Metrics:
     open_assumptions: frozenset[Formula]
 
 
-def _node_path(node: ProofTree, parent: dict) -> tuple[int, ...]:
-    path: list[int] = []
-    cur = node
-    while True:
-        link = parent.get(id(cur))
-        if link is None:
-            break
-        cur, idx = link
-        path.append(idx)
-    return tuple(reversed(path))
-
-
-def _check_local(node: ProofTree, path_of) -> None:
+def _local_fault(node: ProofTree) -> str | None:
+    """Why the node does not follow its rule, or None when it does."""
     r = node.rule
     prem = node.premises
     dis = node.discharge
     c = node.conclusion
 
-    def fail(reason: str):
-        raise IllFormedProofError(path_of(node), reason)
-
     if r == HYP:
         if prem or dis:
-            fail("hypothesis must have no premises and no discharge")
+            return "hypothesis must have no premises and no discharge"
     elif r == IMP_INTRO:
         if len(prem) != 1 or len(dis) != 1:
-            fail("ImpIntro needs one premise and one discharged formula")
+            return "ImpIntro needs one premise and one discharged formula"
         if c.kind != IMP or c.left is not dis[0] or c.right is not prem[0].conclusion:
-            fail("ImpIntro conclusion must be discharge -> premise")
+            return "ImpIntro conclusion must be discharge -> premise"
     elif r == IMP_ELIM:
         if len(prem) != 2 or dis:
-            fail("ImpElim needs two premises and no discharge")
+            return "ImpElim needs two premises and no discharge"
         mc = prem[0].conclusion
         if mc.kind != IMP or mc.left is not prem[1].conclusion or mc.right is not c:
-            fail("ImpElim premises do not fit the conclusion")
+            return "ImpElim premises do not fit the conclusion"
     elif r == AND_ELIM_L:
         if len(prem) != 1 or dis:
-            fail("AndElimL needs one premise and no discharge")
+            return "AndElimL needs one premise and no discharge"
         pc = prem[0].conclusion
         if pc.kind != AND or pc.left is not c:
-            fail("AndElimL premise is not a conjunction with this left part")
+            return "AndElimL premise is not a conjunction with this left part"
     elif r == AND_ELIM_R:
         if len(prem) != 1 or dis:
-            fail("AndElimR needs one premise and no discharge")
+            return "AndElimR needs one premise and no discharge"
         pc = prem[0].conclusion
         if pc.kind != AND or pc.right is not c:
-            fail("AndElimR premise is not a conjunction with this right part")
-    elif r == AND_INTRO:
-        if len(prem) != 2 or dis:
-            fail("AndIntro needs two premises and no discharge")
-        if c.kind != AND or c.left is not prem[0].conclusion or c.right is not prem[1].conclusion:
-            fail("AndIntro conclusion does not pair the premises")
-    elif r == OR_INTRO_L:
-        if len(prem) != 1 or dis:
-            fail("OrIntroL needs one premise and no discharge")
-        if c.kind != OR or c.left is not prem[0].conclusion:
-            fail("OrIntroL conclusion does not extend the premise")
-    elif r == OR_INTRO_R:
-        if len(prem) != 1 or dis:
-            fail("OrIntroR needs one premise and no discharge")
-        if c.kind != OR or c.right is not prem[0].conclusion:
-            fail("OrIntroR conclusion does not extend the premise")
+            return "AndElimR premise is not a conjunction with this right part"
     elif r == OR_ELIM:
         k = len(prem) - 1
         if k < 2:
-            fail("OrElimN needs a major premise and at least two cases")
+            return "OrElimN needs a major premise and at least two cases"
         if len(dis) != k:
-            fail("OrElimN discharge list must match the case count")
+            return "OrElimN discharge list must match the case count"
         if prem[0].conclusion is not chain_disj(list(dis)):
-            fail("OrElimN major premise is not the discharge chain")
+            return "OrElimN major premise is not the discharge chain"
         for case in prem[1:]:
             if case.conclusion is not c:
-                fail("OrElimN case conclusion differs from the node conclusion")
+                return "OrElimN case conclusion differs from the node conclusion"
     else:
-        fail(f"unknown rule {r!r}")
+        return f"unknown rule {r!r}"
+    return None
+
+
+def _path_to(p: ProofTree, target: ProofTree) -> tuple[int, ...]:
+    """Premise-index path from the root to `target`, by one breadth-first
+    search over distinct nodes (a search over occurrences is exponential
+    on shared proofs)."""
+    parent: dict[int, tuple[ProofTree, int] | None] = {id(p): None}
+    queue = deque([p])
+    while queue:
+        node = queue.popleft()
+        if node is target:
+            break
+        for idx, ch in enumerate(node.premises):
+            if isinstance(ch, ProofTree) and id(ch) not in parent:
+                parent[id(ch)] = (node, idx)
+                queue.append(ch)
+    path: list[int] = []
+    link = parent[id(target)]
+    while link is not None:
+        node, idx = link
+        path.append(idx)
+        link = parent[id(node)]
+    return tuple(reversed(path))
 
 
 def iter_nodes(p: ProofTree) -> Iterator[ProofTree]:
-    """Distinct nodes, premises before conclusions (postorder)."""
+    """Distinct nodes, premises before conclusions (postorder).
+
+    The package's one postorder walk. A premise that is not a proof object
+    raises IllFormedProofError before anything above it is yielded.
+    """
     seen: set[int] = set()
     stack: list[tuple[ProofTree, bool]] = [(p, False)]
     while stack:
@@ -253,6 +219,8 @@ def iter_nodes(p: ProofTree) -> Iterator[ProofTree]:
             seen.add(id(node))
             yield node
             continue
+        if not isinstance(node, ProofTree):
+            raise IllFormedProofError((), f"premise is not a proof object: {node!r}")
         stack.append((node, True))
         for ch in reversed(node.premises):
             if id(ch) not in seen:
@@ -261,36 +229,16 @@ def iter_nodes(p: ProofTree) -> Iterator[ProofTree]:
 
 def check_tree(p: ProofTree) -> Metrics:
     """Revalidate every node and compute sizes. The one checker of record."""
-    if not isinstance(p, ProofTree):
-        raise IllFormedProofError((), f"not a proof object: {p!r}")
     opens: dict[int, frozenset[Formula]] = {}
     heights: dict[int, int] = {}
     weights: dict[int, int] = {}
-    parent: dict[int, tuple[ProofTree, int]] = {}
     formulas_seen: set[Formula] = set()
 
-    def path_of(node: ProofTree) -> tuple[int, ...]:
-        return _node_path(node, parent)
-
-    stack: list[tuple[ProofTree, bool]] = [(p, False)]
-    while stack:
-        node, expanded = stack.pop()
+    for node in iter_nodes(p):
+        fault = _local_fault(node)
+        if fault is not None:
+            raise IllFormedProofError(_path_to(p, node), fault)
         nid = id(node)
-        if nid in opens:
-            continue
-        if not expanded:
-            if not isinstance(node, ProofTree):
-                raise IllFormedProofError((), f"premise is not a proof object: {node!r}")
-            stack.append((node, True))
-            for idx in range(len(node.premises) - 1, -1, -1):
-                ch = node.premises[idx]
-                cid = id(ch)
-                if cid not in opens:
-                    parent.setdefault(cid, (node, idx))
-                    stack.append((ch, False))
-            continue
-
-        _check_local(node, path_of)
         prem = node.premises
         r = node.rule
         if r == HYP:
@@ -322,7 +270,7 @@ def check_tree(p: ProofTree) -> Metrics:
 def is_normal(p: ProofTree) -> bool:
     """No elimination's major premise is an introduction (no detours)."""
     for node in iter_nodes(p):
-        if node.rule in _ELIM_RULES and node.premises[0].rule in _INTRO_RULES:
+        if node.rule in _ELIM_RULES and node.premises[0].rule == IMP_INTRO:
             return False
     return True
 

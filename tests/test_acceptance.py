@@ -23,14 +23,7 @@ from nonham.bench import (
     run_bench,
 )
 from nonham.builder import build_refutation
-from nonham.dagproof import (
-    cleanse,
-    coherence_failures,
-    compress_horizontal,
-    dumps_dag,
-    tree_to_dag,
-    verify_dag,
-)
+from nonham.dagproof import compress_and_verify, tree_to_dag, verify_dag
 from nonham.encoding import satisfiable
 from nonham.errors import IllFormedProofError, OpenAssumptionsError
 from nonham.formulas import bot, imp, is_implicational, q_var, weight
@@ -250,20 +243,17 @@ def test_criterion_5_compression_soundness():
         t = translate_formula(report.proof.conclusion)
         q = translate_proof(report.proof, t)
         qm = check_tree(q)
-        d, om = compress_horizontal(q)
-        if not coherence_failures(d, om):
+        c = compress_and_verify(q)
+        if c.incoherent == 0:
             coherent += 1
-        star = cleanse(d, om, source=q, strict=False)
-        if star.conclusion is q.conclusion:
+        if c.cleansed.conclusion is q.conclusion:
             conclusion_ok += 1
-        w = sum(node.formula.weight for node in star.nodes)
-        if w <= qm.weight and (not d.had_duplicates or w < qm.weight):
+        if c.weight <= qm.weight and (not c.dag.had_duplicates or c.weight < qm.weight):
             weight_ok += 1
-        try:
-            verify_dag(star)
+        if c.verified:
             verified += 1
-        except OpenAssumptionsError as exc:
-            open_counts.add(len(exc.open_set))
+        else:
+            open_counts.add(len(c.open_set))
     verdict = "PASS" if verified == total else "FAIL"
     record_acceptance(
         f"ACCEPTANCE 5: {verdict} compression soundness on {total} instances"
@@ -421,11 +411,9 @@ def _pipeline_bytes() -> bytes:
             report = build_refutation(g)
             t = translate_formula(report.proof.conclusion)
             q = translate_proof(report.proof, t)
-            d, om = compress_horizontal(q)
-            star = cleanse(d, om, source=q, strict=False)
             parts.append(dumps_proof(report.proof))
             parts.append(dumps_proof(q))
-            parts.append(dumps_dag(star))
+            parts.append(compress_and_verify(q).text)
     parts.append(rows_to_csv(run_bench("empty", [2, 3, 4]), timing=False))
     parts.append(
         rows_to_csv(run_bench("random", [3, 4], seed=1234, count=3), timing=False)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 
 import pytest
 
@@ -129,6 +130,15 @@ class TestRunBench:
         assert [r.n for r in rows] == [2]
         assert "n=7" in log.getvalue()
         assert "cap" in log.getvalue()
+
+    def test_oversized_n_is_skipped_before_drawing_graphs(self):
+        # drawing a non-Hamiltonian random graph at n=12 runs a 12! path
+        # search per candidate; the builder cap refuses n=12 first
+        log = io.StringIO()
+        start = time.perf_counter()
+        assert run_bench("random", [12], log=log) == []
+        assert time.perf_counter() - start < 1.0
+        assert "n=12" in log.getvalue() and "builder cap" in log.getvalue()
 
     def test_verdict_summary_counts(self):
         rows = run_bench("empty", [2, 3])

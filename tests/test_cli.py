@@ -11,7 +11,8 @@ import pytest
 
 import nonham
 from nonham.cli import REPORT_TEXT_LIMIT, main
-from nonham.dagproof import cleanse, compress_horizontal, dumps_dag
+from nonham.dagproof import compress_and_verify
+from nonham.encoding import ENCODE_CAP
 from nonham.formulas import imp, q_var
 from nonham.prooftree import check_tree, hyp, imp_elim, imp_intro, dumps_proof, loads_proof
 
@@ -83,6 +84,15 @@ class TestEncode:
         text = out.read_text(encoding="utf-8")
         assert text.count("X_1_1") >= 1 and text.endswith("\n")
 
+    @pytest.mark.parametrize("n", [ENCODE_CAP + 1, 1_000_000])
+    def test_oversized_graph_is_refused_before_encoding(self, tmp_path, capsys, n):
+        g = write_graph(tmp_path / "empty.graph", n, [])
+        start = time.perf_counter()
+        assert main(["encode", g]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "encode cap" in err
+
 
 class TestProve:
     def test_prove_writes_a_checkable_proof(self, empty2, tmp_path, capsys):
@@ -145,10 +155,8 @@ class TestPipelineChain:
         p = imp_elim(mid1, mid2)
         for f in (b, a, imp(a, b), imp(b, c), imp(b, imp(c, r))):
             p = imp_intro(p, f)
-        dag, om = compress_horizontal(p)
-        star = cleanse(dag, om, source=p)
         path = tmp_path / "good.json"
-        path.write_text(dumps_dag(star), encoding="utf-8")
+        path.write_text(compress_and_verify(p).text, encoding="utf-8")
         assert main(["verify", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "dag" and payload["closed"] is True

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from nonham.bench import chain_graph
 from nonham.builder import build_refutation
+from nonham import dagproof
 from nonham.dagproof import (
     DagNode,
     DagProof,
     cleanse,
     coherence_failures,
+    compress_and_verify,
     compress_horizontal,
     dag_from_json,
     dag_height,
-    dag_metrics,
     dag_to_json,
     dumps_dag,
     loads_dag,
@@ -29,11 +30,11 @@ from nonham.errors import (
     ProofFormatError,
     UnsupportedRuleError,
 )
-from nonham.formulas import bot, imp, q_var, x_var
+from nonham.formulas import bot, conj, imp, q_var, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian
 from nonham.implicational import translate_formula, translate_proof
 from nonham.prooftree import (
-    and_intro,
+    and_elim_l,
     check_tree,
     dumps_proof,
     hyp,
@@ -65,10 +66,11 @@ def two_derivations_proof():
 
 
 def pipeline(g):
+    """Refute g, translate the refutation, and compress the translation."""
     report = build_refutation(g)
     t = translate_formula(report.proof.conclusion)
     q = translate_proof(report.proof, t)
-    return q, check_tree(q)
+    return q, check_tree(q), compress_and_verify(q)
 
 
 def sep_ids(d):
@@ -108,9 +110,9 @@ class TestTreeToDag:
 
     def test_rejects_non_implicational_rules(self):
         with pytest.raises(UnsupportedRuleError):
-            tree_to_dag(and_intro(hyp(A), hyp(B)))
+            tree_to_dag(and_elim_l(hyp(conj(A, B))))
         with pytest.raises(UnsupportedRuleError):
-            compress_horizontal(and_intro(hyp(A), hyp(B)))
+            compress_horizontal(and_elim_l(hyp(conj(A, B))))
 
 
 class TestCompression:
@@ -178,58 +180,62 @@ class TestPipelineOutcomes:
         # the (level, formula) merge on the smallest refutation produces one
         # separation node whose collapse has a surviving source thread yet
         # strands two case hypotheses: the dag verifier is the arbiter
-        q, tm = pipeline(Graph(2, frozenset()))
+        q, _, c = pipeline(Graph(2, frozenset()))
+        assert c.dag.had_duplicates
+        assert len(sep_ids(c.dag)) == 1
+        assert c.incoherent == 0
+        assert c.open_set == frozenset({x_var(1, 1), x_var(2, 2)})
+        assert c.verdict == "open_assumptions[2]"
+        # a coherent collapse passes the strict cleanse to the same verdict
         d, om = compress_horizontal(q)
-        assert d.had_duplicates
-        assert len(sep_ids(d)) == 1
-        assert coherence_failures(d, om) == []
-        star = cleanse(d, om, source=q)
         with pytest.raises(OpenAssumptionsError) as err:
-            verify_dag(star)
-        assert err.value.open_set == frozenset({x_var(1, 1), x_var(2, 2)})
+            verify_dag(cleanse(d, om, source=q))
+        assert err.value.open_set == c.open_set
 
     def test_n3_collapse_has_no_coherent_choice(self):
-        q, tm = pipeline(Graph(3, frozenset()))
+        q, _, c = pipeline(Graph(3, frozenset()))
+        assert c.incoherent > 0
+        assert sep_ids(c.cleansed) == []
+        assert not c.verified
         d, om = compress_horizontal(q)
-        bad = coherence_failures(d, om)
-        assert bad
+        assert len(coherence_failures(d, om)) == c.incoherent
         with pytest.raises(NoCoherentChoiceError):
             cleanse(d, om, source=q)
-        star = cleanse(d, om, source=q, strict=False)
-        assert sep_ids(star) == []
-        with pytest.raises(OpenAssumptionsError):
-            verify_dag(star)
 
     def test_compressed_weight_never_exceeds_tree_weight(self):
         for n in (2, 3):
             for g in enumerate_graphs(n):
                 if is_hamiltonian(g) is not None:
                     continue
-                q, tm = pipeline(g)
-                d, om = compress_horizontal(q)
-                star = cleanse(d, om, source=q, strict=False)
-                w = sum(node.formula.weight for node in star.nodes)
-                assert w <= tm.weight
-                assert d.source_tree_weight == tm.weight
-                assert star.conclusion is q.conclusion
-                assert dag_height(star) >= 1
+                q, tm, c = pipeline(g)
+                assert c.weight == sum(node.formula.weight for node in c.cleansed.nodes)
+                assert c.weight <= tm.weight
+                assert c.dag.source_tree_weight == tm.weight
+                assert c.cleansed.conclusion is q.conclusion
+                assert c.height == dag_height(c.cleansed) >= 1
 
-    def test_dag_metrics_reports_the_ratio(self):
-        q, tm = pipeline(Graph(2, frozenset()))
-        d, om = compress_horizontal(q)
-        star = cleanse(d, om, source=q)
-        info = dag_metrics(star)
-        assert info["weight"] == sum(node.formula.weight for node in star.nodes)
-        assert info["compression_ratio"] == pytest.approx(tm.weight / info["weight"])
-        assert info["conclusion_weight"] == q.conclusion.weight
+    def test_compression_reports_the_reloaded_dag(self):
+        p = two_derivations_proof()
+        c = compress_and_verify(p)
+        d, om = compress_horizontal(p)
+        assert c.text == dumps_dag(cleanse(d, om, source=p))
+        assert dumps_dag(c.cleansed) == c.text
+        assert c.dag.had_duplicates and c.incoherent == 0
+        m = verify_dag(c.cleansed)
+        assert c.verified and c.verdict == "verified" and c.open_set == frozenset()
+        assert (c.weight, c.height) == (m.weight, m.height)
+
+    def test_conclusion_drift_is_a_dag_error(self, monkeypatch):
+        monkeypatch.setattr(dagproof, "loads_dag", lambda text: tree_to_dag(hyp(A)))
+        with pytest.raises(IllFormedDagError, match="drifted"):
+            compress_and_verify(two_derivations_proof())
 
 
 class TestVerifyRejections:
     def test_separation_nodes_are_rejected(self):
-        q, _ = pipeline(Graph(2, frozenset()))
-        d, _ = compress_horizontal(q)
+        _, _, c = pipeline(Graph(2, frozenset()))
         with pytest.raises(IllFormedDagError) as err:
-            verify_dag(d)
+            verify_dag(c.dag)
         assert "separation" in str(err.value)
 
     def test_structural_rejections(self):
@@ -393,10 +399,8 @@ class TestDagJson:
         # and 780 in its dag.
         report = build_refutation(chain_graph(5), mode="pruned")
         q = translate_proof(report.proof, translate_formula(report.proof.conclusion))
-        d, om = compress_horizontal(q)
-        star = cleanse(d, om, source=q, strict=False)
         assert table_bytes_per_item(dumps_proof(q)) <= 100
-        assert table_bytes_per_item(dumps_dag(star)) <= 100
+        assert table_bytes_per_item(compress_and_verify(q).text) <= 100
 
     def test_bad_json_text(self):
         with pytest.raises(ProofFormatError):

@@ -22,9 +22,7 @@ from nonham.formulas import (
     chain_disj,
     conj,
     disj,
-    distinct_weight,
     eval_formula,
-    formula_vars,
     formulas_from_table,
     formulas_to_table,
     imp,
@@ -226,7 +224,7 @@ class TestEvaluation:
     @given(formulas(), st.booleans(), st.booleans())
     def test_agrees_with_recursive_reference(self, f, v1, v2):
         env = {name: (v1 if hash(name) % 2 == 0 else v2)
-               for name in formula_vars(f)}
+               for name in {g.var for g in subformulas(f) if g.kind == VAR}}
 
         def ref(g):
             if g.kind == BOT:
@@ -276,7 +274,7 @@ class TestQueries:
         f = imp(conj(A, B), A)
         subs = set(subformulas(f))
         assert subs == {f, conj(A, B), A, B}
-        assert set(formula_vars(f)) == {QVar("a"), QVar("b")}
+        assert {g.var for g in subs if g.kind == VAR} == {QVar("a"), QVar("b")}
 
     def test_is_implicational(self):
         assert is_implicational(imp(A, imp(B, A)))
@@ -284,9 +282,3 @@ class TestQueries:
         assert not is_implicational(imp(A, disj(A, B)))
         # falsum is excluded: translated formulas mark it with a Q variable
         assert not is_implicational(imp(A, bot()))
-
-    @given(st.lists(formulas(max_leaves=8), min_size=1, max_size=6))
-    def test_distinct_weight_dedupes(self, fs):
-        total = distinct_weight(fs)
-        assert total == sum(f.weight for f in set(fs))
-        assert total <= sum(f.weight for f in fs)

@@ -4,7 +4,7 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonham.errors import CapExceededError, GraphFormatError
 from nonham.graphs import (
@@ -56,6 +56,44 @@ class TestParsing:
     def test_error_carries_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             parse_graph("3 2\n1 2\n1 1\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("3 1\n1 \u00b2\n", 2),           # superscript two: isdigit() but not int()
+        ("3 1\n1 \u0663\n", 2),           # Arabic-Indic three: int() would take it
+        ("9" * 5000 + " 0\n", 1),         # beyond int()'s digit limit
+        ("# c\n--3 0\n", 2),
+    ])
+    def test_only_ascii_decimal_integers(self, text, line):
+        with pytest.raises(GraphFormatError, match=f"line {line}"):
+            parse_graph(text)
+
+
+NUMERIC_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.text(st.characters(categories=("Nd", "No")), min_size=1, max_size=2),
+    st.integers(4290, 4310).map("7".__mul__),
+)
+
+
+@st.composite
+def mutated_graph_texts(draw):
+    """A valid graph's text with a few of its tokens replaced."""
+    g = random_graph(Random(draw(st.integers(0, 999))), draw(st.integers(1, 5)), 0.4)
+    rows = [line.split() for line in g.to_text().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 1))] = draw(NUMERIC_TOKENS | st.text(max_size=3))
+    return "\n".join(" ".join(row) for row in rows)
+
+
+class TestParserFuzz:
+    @given(st.text() | mutated_graph_texts())
+    @settings(max_examples=300)
+    def test_only_graph_format_errors_escape(self, text):
+        try:
+            parse_graph(text)
+        except GraphFormatError:
+            pass
 
 
 class TestEnumeration:

@@ -31,7 +31,6 @@ from nonham.implicational import (
 from nonham.kernels import bit_block, compile_program, eval_batch_numpy
 from nonham.prooftree import (
     and_elim_l,
-    and_intro,
     check_tree,
     hyp,
     imp_elim,
@@ -39,7 +38,6 @@ from nonham.prooftree import (
     is_normal,
     iter_nodes,
     or_elim,
-    or_intro_l,
 )
 
 A, B, C = q_var("a"), q_var("b"), q_var("c")
@@ -207,8 +205,6 @@ class TestProofTranslation:
     @pytest.mark.parametrize(
         "proof",
         [
-            and_intro(hyp(A), hyp(B)),
-            or_intro_l(hyp(A), B),
             or_elim(
                 hyp(chain_disj([A, B, C])),
                 [imp_elim(hyp(imp(x, C)), hyp(x)) for x in (A, B, C)],

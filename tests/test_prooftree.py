@@ -5,13 +5,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonham.builder import unfold_nary
 from nonham.errors import IllFormedProofError, ProofFormatError
 from nonham.formulas import bot, chain_disj, conj, disj, imp, q_var
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,
     and_elim_r,
-    and_intro,
     check_tree,
     dumps_proof,
     hyp,
@@ -21,8 +21,6 @@ from nonham.prooftree import (
     iter_nodes,
     loads_proof,
     or_elim,
-    or_intro_l,
-    or_intro_r,
     proof_from_json,
     proof_to_json,
     subformula_ok,
@@ -59,10 +57,6 @@ class TestConstructorsAndChecker:
         m = check_tree(imp_intro(and_elim_l(both), conj(A, B)))
         assert m.open_assumptions == frozenset()
 
-    def test_or_intros(self):
-        assert or_intro_l(hyp(A), B).conclusion is disj(A, B)
-        assert or_intro_r(hyp(B), A).conclusion is disj(A, B)
-
     def test_binary_or_elim(self):
         major = hyp(disj(A, A))
         p = imp_intro(or_elim(major, [hyp(A), hyp(A)], (A, A)), disj(A, A))
@@ -82,10 +76,11 @@ class TestConstructorsAndChecker:
 
     def test_shared_subproof_counts_per_occurrence(self):
         leaf = hyp(A)
-        m = check_tree(and_intro(leaf, leaf))
-        assert m.weight == conj(A, A).weight + 2 * A.weight
-        assert m.distinct_formula_weight == conj(A, A).weight + A.weight
-        assert sum(1 for _ in iter_nodes(and_intro(leaf, leaf))) == 2
+        p = or_elim(hyp(disj(A, A)), [leaf, leaf], (A, A))
+        m = check_tree(p)
+        assert m.weight == disj(A, A).weight + 3 * A.weight
+        assert m.distinct_formula_weight == disj(A, A).weight + A.weight
+        assert sum(1 for _ in iter_nodes(p)) == 3
 
     def test_heights_count_nodes(self):
         p = imp_intro(imp_intro(imp_intro(hyp(A), A), B), C)
@@ -149,11 +144,34 @@ class TestCheckerRejections:
             check_tree(bad)
 
     def test_non_proof_premise(self):
-        bad = ProofTree(conj(A, A), "AndIntro", (hyp(A), "junk"), ())
+        bad = ProofTree(B, "ImpElim", (hyp(imp(A, B)), "junk"), ())
         with pytest.raises(IllFormedProofError):
             check_tree(bad)
         with pytest.raises(IllFormedProofError):
             check_tree("junk")
+
+    def test_walker_rejects_a_non_proof_premise(self):
+        bad = ProofTree(A, "AndElimL", (7,), ())
+        with pytest.raises(IllFormedProofError, match="not a proof object: 7"):
+            list(iter_nodes(imp_intro(bad, B)))
+        # the builders' rewrites walk through the same guard
+        with pytest.raises(IllFormedProofError):
+            unfold_nary(bad)
+
+    def test_path_on_a_shared_proof_reaches_the_bad_node(self):
+        # the bad node sits under a subproof shared by both cases of a
+        # split, 2^depth occurrences below the root
+        bad = ProofTree(B, "ImpElim", (hyp(imp(A, B)), hyp(B)), ())
+        p = imp_intro(bad, A)
+        for _ in range(30):
+            p = imp_intro(or_elim(hyp(disj(C, C)), [p, p], (C, C)), disj(C, C))
+        with pytest.raises(IllFormedProofError) as err:
+            check_tree(p)
+        node = p
+        for idx in err.value.path:
+            node = node.premises[idx]
+        assert node is bad
+        assert len(err.value.path) == 2 * 30 + 1
 
 
 class TestNormality:
@@ -166,11 +184,6 @@ class TestNormality:
         check_tree(p)
         assert not is_normal(p)
         assert not subformula_ok(p)
-
-    def test_and_detour(self):
-        p = and_elim_l(and_intro(hyp(A), hyp(B)))
-        check_tree(p)
-        assert not is_normal(p)
 
     def test_subformula_property_of_normal_proof(self):
         p = imp_intro(and_elim_l(hyp(conj(A, B))), conj(A, B))
@@ -221,10 +234,10 @@ class TestJson:
 
     def test_shared_premises_stay_shared(self):
         leaf = hyp(A)
-        data = proof_to_json(and_intro(leaf, leaf))
-        assert len(data["nodes"]) == 2
+        data = proof_to_json(or_elim(hyp(disj(A, A)), [leaf, leaf], (A, A)))
+        assert len(data["nodes"]) == 3
         rebuilt = proof_from_json(data)
-        assert rebuilt.premises[0] is rebuilt.premises[1]
+        assert rebuilt.premises[1] is rebuilt.premises[2]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -283,6 +296,7 @@ class TestJson:
             pytest.param(lambda d: edit_node(d, 1, discharge=[False]),
                          id="boolean-discharge-ref"),
             pytest.param(lambda d: edit_node(d, 1, formula=1.0), id="float-formula-ref"),
+            pytest.param(lambda d: edit_node(d, 1, rule="AndIntro"), id="intro-rule-removed"),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
