@@ -30,6 +30,7 @@ from nonham.implicational import (
 )
 from nonham.kernels import bit_block, compile_program, eval_batch_numpy
 from nonham.prooftree import (
+    ProofTree,
     and_elim_l,
     check_tree,
     hyp,
@@ -205,6 +206,9 @@ class TestProofTranslation:
     @pytest.mark.parametrize(
         "proof",
         [
+            # nodes built by hand under rule names the calculus does not have
+            ProofTree(conj(A, B), "AndIntro", (hyp(A), hyp(B))),
+            ProofTree(disj(A, B), "OrIntroL", (hyp(A),)),
             or_elim(
                 hyp(chain_disj([A, B, C])),
                 [imp_elim(hyp(imp(x, C)), hyp(x)) for x in (A, B, C)],
