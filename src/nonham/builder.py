@@ -265,7 +265,10 @@ def build_refutation(g: Graph, mode: str = "auto",
     used = check_builder_cap(g.n, mode, cap)
     enc = encode_graph(g)
     tower, leaf_count = build_case_tower(g, enc, used)
-    tower_height = check_tree(tower).height
+    heights: dict[int, int] = {}
+    for node in iter_nodes(tower):
+        heights[id(node)] = 1 + max((heights[id(q)] for q in node.premises), default=0)
+    tower_height = heights[id(tower)]
     unfolded = unfold_nary(tower)
     proof = finalize_negation(unfolded, enc)
     metrics = check_tree(proof)

@@ -18,8 +18,10 @@ uses only {Hyp, ImpIntro, ImpElim, R} and is what `verify_dag` accepts:
 an independent bottom-up check with memoized open-assumption sets, where R
 is transparent and S is rejected.
 
-An `OriginMap` records where every tree occurrence landed, which is what
-the soundness tests replay against the source tree.
+All occurrences of one proof object at one level share formula, child
+classes and derivation, so compression and the coherence count work once
+per such (node, level) *site*, not per tree occurrence. An `OriginMap`
+records where every site landed and how many occurrences it stands for.
 
 `compress_and_verify` is the one copy of the whole sequence: compress,
 count incoherent separation nodes, cleanse, serialize, reload, and verify
@@ -44,6 +46,7 @@ from .prooftree import (
     IMP_ELIM,
     IMP_INTRO,
     IMPLICATIONAL_RULES,
+    HypothesisBits,
     Metrics,
     ProofTree,
 )
@@ -81,167 +84,136 @@ class DagProof:
 
 @dataclass
 class OriginMap:
-    """Tree occurrence -> dag node, occurrences indexed in preorder.
+    """Sites -> dag nodes. A site is one proof object at one level; sites
+    are indexed in preorder of their first occurrence (site 0 is the root).
 
-    `group_of` records which derivation group of its merge class each
-    occurrence fell into; group 0 is the one containing the class's first
-    preorder occurrence, which is also the premise `cleanse` keeps.
+    `children_of` lists a site's premise sites in premise order, `mult`
+    counts its tree occurrences, and `group_of` records which derivation
+    group of its merge class it fell into; group 0 is the one containing
+    the class's first preorder occurrence, which is also the premise
+    `cleanse` keeps.
     """
 
     node_of: list[int]
-    parent_of: list[int]  # -1 for the root occurrence
     level_of: list[int]
     group_of: list[int]
+    children_of: list[list[int]]
+    mult: list[int]
 
     def __len__(self) -> int:
-        return len(self.node_of)
+        """Tree occurrences, summed over sites."""
+        return sum(self.mult)
 
 
-def _occurrence_walk(p: ProofTree):
-    """Preorder occurrence arrays for a tree proof."""
-    occ_nodes: list[ProofTree] = []
-    occ_parent: list[int] = []
-    occ_level: list[int] = []
-    occ_children: list[list[int]] = []
-    stack: list[tuple[ProofTree, int]] = [(p, -1)]
+def _walk(p: ProofTree, sites: bool):
+    """Preorder walk of a tree proof: node, level and child ids per visit.
+
+    Without `sites` every occurrence is visited. With it, an object met
+    again at a level is not walked again: its first occurrence there came
+    earlier in preorder (it is no ancestor) with all its subtree, so sites
+    come out in the order of their first occurrences."""
+    nodes: list[ProofTree] = []
+    levels: list[int] = []
+    children: list[list[int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    stack: list[tuple[ProofTree, int, int]] = [(p, 0, -1)]
     while stack:
-        node, par = stack.pop()
-        oid = len(occ_nodes)
-        occ_nodes.append(node)
-        occ_parent.append(par)
-        occ_level.append(0 if par < 0 else occ_level[par] + 1)
-        occ_children.append([])
+        node, level, par = stack.pop()
+        idx = seen.get((id(node), level)) if sites else None
+        if idx is None:
+            idx = len(nodes)
+            if sites:
+                seen[id(node), level] = idx
+            nodes.append(node)
+            levels.append(level)
+            children.append([])
+            for ch in reversed(node.premises):
+                stack.append((ch, level + 1, idx))
         if par >= 0:
-            occ_children[par].append(oid)
-        for ch in reversed(node.premises):
-            stack.append((ch, oid))
-    return occ_nodes, occ_parent, occ_level, occ_children
+            children[par].append(idx)
+    return nodes, levels, children
 
 
 def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
-    """Merge same-level same-formula occurrences of an implicational tree."""
-    occ_nodes, occ_parent, occ_level, occ_children = _occurrence_walk(p)
-    total = len(occ_nodes)
+    """Merge same-level same-formula occurrences of an implicational tree,
+    working once per site (see the module docstring)."""
+    site_nodes, site_level, site_children = _walk(p, sites=True)
+    total = len(site_nodes)
 
-    tree_weight = 0
-    for node in occ_nodes:
-        tree_weight += node.conclusion.weight
+    # merge classes keyed by (level, formula), in order of first occurrence
+    class_ids: dict[tuple[int, Formula], int] = {}
+    class_sites: list[list[int]] = []
+    site_class: list[int] = []
+    for s, node in enumerate(site_nodes):
         if node.rule not in IMPLICATIONAL_RULES:
             raise UnsupportedRuleError(
                 f"horizontal compression handles implicational proofs only, got {node.rule}"
             )
+        cid = class_ids.setdefault((site_level[s], node.conclusion), len(class_sites))
+        if cid == len(class_sites):
+            class_sites.append([])
+        class_sites[cid].append(s)
+        site_class.append(cid)
 
-    # merge classes keyed by (level, formula), in preorder of first occurrence
-    class_ids: dict[tuple[int, Formula], int] = {}
-    class_occs: list[list[int]] = []
-    occ_class: list[int] = [0] * total
-    for oid in range(total):
-        key = (occ_level[oid], occ_nodes[oid].conclusion)
-        cid = class_ids.get(key)
-        if cid is None:
-            cid = len(class_occs)
-            class_ids[key] = cid
-            class_occs.append([])
-        class_occs[cid].append(oid)
-        occ_class[oid] = cid
+    # occurrence counts, pushed from each level to the next
+    mult = [0] * total
+    mult[0] = 1
+    for s in sorted(range(total), key=site_level.__getitem__):
+        for c in site_children[s]:
+            mult[c] += mult[s]
+    occurrences = sum(mult)
+    tree_weight = sum(m * node.conclusion.weight for m, node in zip(mult, site_nodes))
 
-    had_duplicates = any(len(occs) > 1 for occs in class_occs)
-
-    # derivation signature of an occurrence: how its class node gets concluded
-    def signature(oid: int):
-        node = occ_nodes[oid]
-        return (
-            node.rule,
-            node.discharge,
-            tuple(occ_class[c] for c in occ_children[oid]),
-        )
-
-    # records: (sort_key, formula, rule, level, is_rep, premise plan)
-    # premise plans refer to class ids ("c", cid) or rep uids ("r", uid)
-    records: list[dict] = []
-    class_record: list[int] = []
-    occ_group: list[int] = [0] * total
-    for cid, occs in enumerate(class_occs):
-        level = occ_level[occs[0]]
-        formula = occ_nodes[occs[0]].conclusion
+    # records: (sort key, formula, rule, level, is_rep, premise plan); a
+    # plan lists class ids, except a separation node's, which lists the
+    # record ids of its representatives. Levels ascend, representatives
+    # come just before their own level's plain nodes, ties go by first
+    # occurrence (site ids are in that order).
+    records: list[tuple] = []
+    class_record = [0] * len(class_sites)
+    group_of = [0] * total
+    for cid, sites in enumerate(class_sites):
+        first = sites[0]
+        level = site_level[first]
+        formula = site_nodes[first].conclusion
         groups: dict[tuple, int] = {}
         group_first: list[int] = []
-        for oid in occs:
-            sig = signature(oid)
-            gi = groups.get(sig)
-            if gi is None:
-                gi = len(group_first)
-                groups[sig] = gi
-                group_first.append(oid)
-            occ_group[oid] = gi
-        first_origin = occs[0]
-        if len(groups) == 1:
-            node0 = occ_nodes[first_origin]
-            class_record.append(len(records))
-            records.append({
-                "formula": formula,
-                "rule": node0.rule,
-                "level": level,
-                "is_rep": False,
-                "plan": [("c", occ_class[c]) for c in occ_children[first_origin]],
-                "origin": first_origin,
-            })
+        for s in sites:
+            sig = (site_nodes[s].rule, site_nodes[s].discharge,
+                   tuple(site_class[c] for c in site_children[s]))
+            group_of[s] = groups.setdefault(sig, len(group_first))
+            if group_of[s] == len(group_first):
+                group_first.append(s)
+        if len(group_first) == 1:
+            class_record[cid] = len(records)
+            records.append((2 * level * total + first, formula, site_nodes[first].rule,
+                            level, False, [site_class[c] for c in site_children[first]]))
         else:
-            rep_uids = []
-            for gi, oid in enumerate(group_first):
-                node0 = occ_nodes[oid]
-                uid = ("rep", cid, gi)
-                rep_uids.append(uid)
-                records.append({
-                    "formula": formula,
-                    "rule": node0.rule,
-                    "level": level + 1,
-                    "is_rep": True,
-                    "plan": [("c", occ_class[c]) for c in occ_children[oid]],
-                    "origin": oid,
-                    "uid": uid,
-                })
-            class_record.append(len(records))
-            records.append({
-                "formula": formula,
-                "rule": SEP,
-                "level": level,
-                "is_rep": False,
-                "plan": [("r", uid) for uid in rep_uids],
-                "origin": first_origin,
-            })
+            reps = []
+            for s in group_first:
+                reps.append(len(records))
+                records.append(((2 * level + 1) * total + s, formula, site_nodes[s].rule,
+                                level + 1, True, [site_class[c] for c in site_children[s]]))
+            class_record[cid] = len(records)
+            records.append((2 * level * total + first, formula, SEP, level, False, reps))
 
-    # deterministic topological order: levels ascend, representatives come
-    # just before their own level's plain nodes, ties by first origin
-    order = sorted(range(len(records)),
-                   key=lambda i: (2 * records[i]["level"] - (1 if records[i]["is_rep"] else 0),
-                                  records[i]["origin"]))
-    position = {ri: pos for pos, ri in enumerate(order)}
-    rep_position = {records[ri]["uid"]: position[ri]
-                    for ri in range(len(records)) if records[ri]["is_rep"]}
+    order = sorted(range(len(records)), key=lambda ri: records[ri][0])
+    position = [0] * len(records)
+    for pos, ri in enumerate(order):
+        position[ri] = pos
+    class_node = [position[ri] for ri in class_record]
+    if class_node[0] != 0:
+        raise AssertionError("root class must sort first")
 
     nodes: list[DagNode] = []
     for ri in order:
-        rec = records[ri]
-        premises = tuple(
-            position[class_record[ref]] if kind == "c" else rep_position[ref]
-            for kind, ref in rec["plan"]
-        )
-        nodes.append(DagNode(rec["formula"], rec["rule"], premises,
-                             rec["level"], rec["is_rep"]))
-
-    root = position[class_record[occ_class[0]]]
-    if root != 0:
-        raise AssertionError("root class must sort first")
-
+        _, formula, rule, level, is_rep, plan = records[ri]
+        refs = position if rule == SEP else class_node
+        nodes.append(DagNode(formula, rule, tuple(refs[x] for x in plan), level, is_rep))
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
-                   had_duplicates=had_duplicates)
-    origin = OriginMap(
-        node_of=[position[class_record[occ_class[oid]]] for oid in range(total)],
-        parent_of=occ_parent,
-        level_of=occ_level,
-        group_of=occ_group,
-    )
+                   had_duplicates=len(class_sites) < occurrences)
+    origin = OriginMap(node_of=[class_node[cid] for cid in site_class], level_of=site_level,
+                       group_of=group_of, children_of=site_children, mult=mult)
     return dag, origin
 
 
@@ -253,31 +225,26 @@ def coherence_failures(d: DagProof, om: OriginMap) -> list[int]:
     survives when every occurrence on it fell into group 0 of its class.
     For each S node this scans for a surviving thread through its class;
     the returned ids signal compression-soundness failures and are never
-    an implementation error.
+    an implementation error. The scan runs over sites: some occurrence of
+    a site is on a surviving path from the root when some parent site's
+    is, and a surviving path down depends on the site's subtree only.
     """
-    total = len(om)
     group_of = om.group_of
-    parent_of = om.parent_of
-    children: list[list[int]] = [[] for _ in range(total)]
-    for o in range(total):
-        p = parent_of[o]
-        if p >= 0:
-            children[p].append(o)
-    # occurrence ids are preorder, so parents precede children
-    up_ok = [False] * total
-    for o in range(total):
-        p = parent_of[o]
-        up_ok[o] = group_of[o] == 0 and (p < 0 or up_ok[p])
-    down_ok = [False] * total
-    for o in range(total - 1, -1, -1):
-        if group_of[o] != 0:
-            continue
-        ch = children[o]
-        down_ok[o] = (not ch) or any(down_ok[c] for c in ch)
-    survivors = set()
-    for o in range(total):
-        if up_ok[o] and down_ok[o]:
-            survivors.add(om.node_of[o])
+    children_of = om.children_of
+    total = len(group_of)
+    order = sorted(range(total), key=om.level_of.__getitem__)
+    up = [False] * total
+    up[0] = True
+    for s in order:
+        up[s] = up[s] and group_of[s] == 0
+        if up[s]:
+            for c in children_of[s]:
+                up[c] = True
+    down = [False] * total
+    for s in reversed(order):
+        ch = children_of[s]
+        down[s] = group_of[s] == 0 and (not ch or any(down[c] for c in ch))
+    survivors = {om.node_of[s] for s in range(total) if up[s] and down[s]}
     return [i for i, node in enumerate(d.nodes)
             if node.rule == SEP and i not in survivors]
 
@@ -360,13 +327,15 @@ def verify_dag(d: DagProof) -> Metrics:
     Rejects separation nodes outright; repetition nodes are transparent for
     both the formula and the open-assumption set. Requires a closed proof.
     Premise ids must strictly follow the node (the serialized order), which
-    makes acyclicity a local check. Open sets are memoized per node; on
-    dags this is what makes verification feasible.
+    makes acyclicity a local check. Open sets are memoized per node, as
+    `HypothesisBits` masks; on dags this is what makes verification
+    feasible.
     """
     _structure_check(d)
     n = len(d.nodes)
-    opens: list[frozenset[Formula] | None] = [None] * n
-    heights: list[int] = [0] * n
+    hyps = HypothesisBits()
+    opens = [0] * n
+    heights = [0] * n
     for i in range(n - 1, -1, -1):
         node = d.nodes[i]
         prem = node.premises
@@ -376,7 +345,7 @@ def verify_dag(d: DagProof) -> Metrics:
         if node.rule == HYP:
             if prem:
                 raise IllFormedDagError(i, "hypothesis with premises")
-            opens[i] = frozenset((f,))
+            opens[i] = hyps.bit(f)
             heights[i] = 1
             continue
         if node.rule == REP:
@@ -393,7 +362,7 @@ def verify_dag(d: DagProof) -> Metrics:
                 raise IllFormedDagError(i, "ImpIntro needs exactly one premise")
             if f.kind != IMP or d.nodes[prem[0]].formula is not f.right:
                 raise IllFormedDagError(i, "ImpIntro conclusion does not fit its premise")
-            opens[i] = opens[prem[0]] - {f.left}
+            opens[i] = hyps.drop(opens[prem[0]], f.left)
             heights[i] = heights[prem[0]] + 1
             continue
         # ImpElim
@@ -407,7 +376,7 @@ def verify_dag(d: DagProof) -> Metrics:
         heights[i] = 1 + max(heights[maj], heights[mn])
 
     if opens[d.root]:
-        raise OpenAssumptionsError(opens[d.root])
+        raise OpenAssumptionsError(hyps.formulas(opens[d.root]))
     formulas = {node.formula for node in d.nodes}
     return Metrics(
         height=heights[d.root],
@@ -430,7 +399,7 @@ def dag_height(d: DagProof) -> int:
 
 def tree_to_dag(p: ProofTree) -> DagProof:
     """Embed a tree proof as a dag without merging (one node per occurrence)."""
-    occ_nodes, occ_parent, occ_level, occ_children = _occurrence_walk(p)
+    occ_nodes, occ_level, occ_children = _walk(p, sites=False)
     total = len(occ_nodes)
     for node in occ_nodes:
         if node.rule not in IMPLICATIONAL_RULES:

@@ -94,8 +94,11 @@ class OpenAssumptionsError(NonhamError):
     """Raised when a dag proof that must be closed has open assumptions."""
 
     def __init__(self, open_set):
+        from .formulas import to_text  # formulas imports this module
+
         self.open_set = frozenset(open_set)
-        names = ", ".join(sorted(str(f) for f in list(self.open_set)[:4]))
+        # sorted before the cut: a frozenset's order changes from run to run
+        names = ", ".join(sorted(to_text(f, limit=72) for f in self.open_set)[:4])
         more = "" if len(self.open_set) <= 4 else ", ..."
         super().__init__(f"dag proof has open assumptions: {names}{more}")
 

@@ -227,43 +227,66 @@ def iter_nodes(p: ProofTree) -> Iterator[ProofTree]:
                 stack.append((ch, False))
 
 
+class HypothesisBits:
+    """Open assumption sets as int bitmasks: each distinct hypothesis
+    formula gets one bit when first seen. Checkers walk premises first, so
+    a discharged formula without a bit has no open occurrence below (the
+    discharge is vacuous)."""
+
+    def __init__(self):
+        self._bits: dict[Formula, int] = {}
+        self._formulas: list[Formula] = []
+
+    def bit(self, f: Formula) -> int:
+        if f not in self._bits:
+            self._bits[f] = 1 << len(self._formulas)
+            self._formulas.append(f)
+        return self._bits[f]
+
+    def drop(self, mask: int, f: Formula) -> int:
+        return mask & ~self._bits.get(f, 0)
+
+    def formulas(self, mask: int) -> frozenset[Formula]:
+        return frozenset(f for i, f in enumerate(self._formulas) if mask >> i & 1)
+
+
 def check_tree(p: ProofTree) -> Metrics:
     """Revalidate every node and compute sizes. The one checker of record."""
-    opens: dict[int, frozenset[Formula]] = {}
-    heights: dict[int, int] = {}
-    weights: dict[int, int] = {}
+    hyps = HypothesisBits()
+    # per distinct node: (open mask, height, occurrence weight)
+    info: dict[int, tuple[int, int, int]] = {}
     formulas_seen: set[Formula] = set()
 
     for node in iter_nodes(p):
         fault = _local_fault(node)
         if fault is not None:
             raise IllFormedProofError(_path_to(p, node), fault)
-        nid = id(node)
-        prem = node.premises
+        f = node.conclusion
+        formulas_seen.add(f)
         r = node.rule
         if r == HYP:
-            opens[nid] = frozenset((node.conclusion,))
-        elif r == IMP_INTRO:
-            opens[nid] = opens[id(prem[0])] - {node.discharge[0]}
+            info[id(node)] = (hyps.bit(f), 1, f.weight)
+            continue
+        subs = [info[id(q)] for q in node.premises]
+        if r == IMP_INTRO:
+            mask = hyps.drop(subs[0][0], node.discharge[0])
         elif r == OR_ELIM:
-            acc = set(opens[id(prem[0])])
-            for case, d in zip(prem[1:], node.discharge):
-                acc |= opens[id(case)] - {d}
-            opens[nid] = frozenset(acc)
+            mask = subs[0][0]
+            for (case, _, _), d in zip(subs[1:], node.discharge):
+                mask |= hyps.drop(case, d)
         else:
-            acc = set()
-            for q in prem:
-                acc |= opens[id(q)]
-            opens[nid] = frozenset(acc)
-        heights[nid] = 1 + max((heights[id(q)] for q in prem), default=0)
-        weights[nid] = node.conclusion.weight + sum(weights[id(q)] for q in prem)
-        formulas_seen.add(node.conclusion)
+            mask = 0
+            for m, _, _ in subs:
+                mask |= m
+        info[id(node)] = (mask, 1 + max(h for _, h, _ in subs),
+                          f.weight + sum(w for _, _, w in subs))
 
+    mask, height, weight = info[id(p)]
     return Metrics(
-        height=heights[id(p)],
-        weight=weights[id(p)],
+        height=height,
+        weight=weight,
         distinct_formula_weight=sum(f.weight for f in formulas_seen),
-        open_assumptions=opens[id(p)],
+        open_assumptions=hyps.formulas(mask),
     )
 
 

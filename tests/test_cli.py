@@ -11,7 +11,7 @@ import pytest
 
 import nonham
 from nonham.cli import REPORT_TEXT_LIMIT, main
-from nonham.dagproof import compress_and_verify
+from nonham.dagproof import compress_and_verify, compress_horizontal
 from nonham.encoding import ENCODE_CAP
 from nonham.formulas import imp, q_var
 from nonham.prooftree import check_tree, hyp, imp_elim, imp_intro, dumps_proof, loads_proof
@@ -241,6 +241,22 @@ class TestPipelineChain:
         texts = [translation["source"], translation["star"], *translation["axioms"]]
         texts += [t for pair in translation["markers"] for t in pair]
         assert max(map(len, texts)) == REPORT_TEXT_LIMIT + 3
+
+    def test_compress_works_per_site_on_shared_proofs(self, tmp_path, capsys):
+        # 122 distinct nodes, 2^62 - 2 occurrences: each round applies
+        # (p.conclusion -> p.conclusion) to p through the same object p
+        a = q_var("a")
+        p = imp_intro(hyp(a), a)
+        for _ in range(60):
+            p = imp_elim(imp_intro(p, p.conclusion), p)
+        path = tmp_path / "shared.json"
+        path.write_text(dumps_proof(p), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["compress", str(path), "--out", str(tmp_path / "dag.json"), "--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "verified"
+        _, origin = compress_horizontal(loads_proof(path.read_text(encoding="utf-8")))
+        assert len(origin) == 2**62 - 2
 
     def test_compress_rejects_open_or_nonimplicational_input(self, tmp_path, capsys):
         path = tmp_path / "open.json"

@@ -30,7 +30,7 @@ from nonham.errors import (
     ProofFormatError,
     UnsupportedRuleError,
 )
-from nonham.formulas import bot, conj, imp, q_var, x_var
+from nonham.formulas import IMP, bot, conj, imp, q_var, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian
 from nonham.implicational import translate_formula, translate_proof
 from nonham.prooftree import (
@@ -62,6 +62,16 @@ def two_derivations_proof():
     p = top
     for f in (B, A, imp(A, B), imp(B, C), imp(B, imp(C, R))):
         p = imp_intro(p, f)
+    return p
+
+
+def doubling_proof(k):
+    """A closed proof of A -> A with 2k + 2 distinct nodes and 2^(k+2) - 2
+    occurrences: each round applies (p.conclusion -> p.conclusion) to p,
+    both through the same object p."""
+    p = imp_intro(hyp(A), A)
+    for _ in range(k):
+        p = imp_elim(imp_intro(p, p.conclusion), p)
     return p
 
 
@@ -158,21 +168,20 @@ class TestCompression:
             cleanse(d, om, source=hyp(A))
 
     def test_origin_map_is_total_and_level_true(self):
-        p = two_derivations_proof()
-        d, om = compress_horizontal(p)
-        occurrences = 0
-        stack = [p]
-        while stack:
-            node = stack.pop()
-            occurrences += 1
-            stack.extend(node.premises)
-        assert len(om) == occurrences
-        assert om.parent_of[0] == -1 and om.level_of[0] == 0
-        for o in range(len(om)):
-            node = d.nodes[om.node_of[o]]
-            assert node.level == om.level_of[o]
-            assert om.group_of[o] >= 0
-        assert om.group_of[0] == 0
+        for p in (two_derivations_proof(), doubling_proof(4)):
+            d, om = compress_horizontal(p)
+            occurrences = 0
+            stack = [p]
+            while stack:
+                node = stack.pop()
+                occurrences += 1
+                stack.extend(node.premises)
+            assert len(om) == sum(om.mult) == occurrences
+            assert om.level_of[0] == 0 and om.mult[0] == 1 and om.group_of[0] == 0
+            for s in range(len(om.mult)):
+                assert d.nodes[om.node_of[s]].level == om.level_of[s]
+                assert om.group_of[s] >= 0 and om.mult[s] >= 1
+                assert all(om.level_of[c] == om.level_of[s] + 1 for c in om.children_of[s])
 
 
 class TestPipelineOutcomes:
@@ -447,6 +456,234 @@ class TestEmbeddingAgreement:
             again = loads_dag(text)
             assert dumps_dag(again) == text
             assert again.conclusion is p.conclusion
+
+
+def reference_compress(p):
+    """Horizontal compression run once per tree occurrence, as the
+    definition reads: the reference the per-site compressor must match.
+
+    Returns the dag and, per preorder occurrence, the dag node it landed
+    on, its parent occurrence (-1 for the root) and its derivation group.
+    """
+    occ_nodes, occ_parent, occ_level, occ_children = [], [], [], []
+    stack = [(p, -1)]
+    while stack:
+        node, par = stack.pop()
+        oid = len(occ_nodes)
+        occ_nodes.append(node)
+        occ_parent.append(par)
+        occ_level.append(0 if par < 0 else occ_level[par] + 1)
+        occ_children.append([])
+        if par >= 0:
+            occ_children[par].append(oid)
+        for ch in reversed(node.premises):
+            stack.append((ch, oid))
+    total = len(occ_nodes)
+    tree_weight = sum(node.conclusion.weight for node in occ_nodes)
+
+    class_ids, class_occs, occ_class = {}, [], [0] * total
+    for oid in range(total):
+        key = (occ_level[oid], occ_nodes[oid].conclusion)
+        if key not in class_ids:
+            class_ids[key] = len(class_occs)
+            class_occs.append([])
+        occ_class[oid] = class_ids[key]
+        class_occs[occ_class[oid]].append(oid)
+
+    def signature(oid):
+        node = occ_nodes[oid]
+        return (node.rule, node.discharge, tuple(occ_class[c] for c in occ_children[oid]))
+
+    records, class_record, occ_group = [], [], [0] * total
+    for cid, occs in enumerate(class_occs):
+        level, formula = occ_level[occs[0]], occ_nodes[occs[0]].conclusion
+        groups, group_first = {}, []
+        for oid in occs:
+            sig = signature(oid)
+            if sig not in groups:
+                groups[sig] = len(group_first)
+                group_first.append(oid)
+            occ_group[oid] = groups[sig]
+        plan = lambda oid: [("c", occ_class[c]) for c in occ_children[oid]]  # noqa: E731
+        if len(groups) == 1:
+            class_record.append(len(records))
+            records.append(dict(formula=formula, rule=occ_nodes[occs[0]].rule, level=level,
+                                is_rep=False, plan=plan(occs[0]), origin=occs[0]))
+        else:
+            rep_uids = []
+            for gi, oid in enumerate(group_first):
+                rep_uids.append((cid, gi))
+                records.append(dict(formula=formula, rule=occ_nodes[oid].rule, level=level + 1,
+                                    is_rep=True, plan=plan(oid), origin=oid, uid=(cid, gi)))
+            class_record.append(len(records))
+            records.append(dict(formula=formula, rule="S", level=level, is_rep=False,
+                                plan=[("r", uid) for uid in rep_uids], origin=occs[0]))
+
+    order = sorted(range(len(records)),
+                   key=lambda i: (2 * records[i]["level"] - records[i]["is_rep"],
+                                  records[i]["origin"]))
+    position = {ri: pos for pos, ri in enumerate(order)}
+    rep_position = {records[ri]["uid"]: position[ri]
+                    for ri in range(len(records)) if records[ri]["is_rep"]}
+    nodes = []
+    for ri in order:
+        rec = records[ri]
+        premises = tuple(position[class_record[ref]] if kind == "c" else rep_position[ref]
+                         for kind, ref in rec["plan"])
+        nodes.append(DagNode(rec["formula"], rec["rule"], premises, rec["level"], rec["is_rep"]))
+    dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
+                   had_duplicates=any(len(occs) > 1 for occs in class_occs))
+    node_of = [position[class_record[occ_class[oid]]] for oid in range(total)]
+    return dag, (node_of, occ_parent, occ_group)
+
+
+def reference_coherence_failures(d, occurrences):
+    """`coherence_failures` run once per tree occurrence."""
+    node_of, parent_of, group_of = occurrences
+    total = len(node_of)
+    children = [[] for _ in range(total)]
+    for o in range(1, total):
+        children[parent_of[o]].append(o)
+    up_ok = [False] * total
+    for o in range(total):
+        up_ok[o] = group_of[o] == 0 and (parent_of[o] < 0 or up_ok[parent_of[o]])
+    down_ok = [False] * total
+    for o in range(total - 1, -1, -1):
+        if group_of[o] == 0:
+            down_ok[o] = not children[o] or any(down_ok[c] for c in children[o])
+    survivors = {node_of[o] for o in range(total) if up_ok[o] and down_ok[o]}
+    return [i for i, node in enumerate(d.nodes) if node.rule == "S" and i not in survivors]
+
+
+def assert_matches_reference(p):
+    d, om = compress_horizontal(p)
+    ref, occurrences = reference_compress(p)
+    assert dumps_dag(d) == dumps_dag(ref)
+    assert [(n.level, n.is_rep) for n in d.nodes] == [(n.level, n.is_rep) for n in ref.nodes]
+    assert (d.source_tree_weight, d.had_duplicates) == (ref.source_tree_weight, ref.had_duplicates)
+    assert len(om) == len(occurrences[0])
+    assert coherence_failures(d, om) == reference_coherence_failures(ref, occurrences)
+    assert (dumps_dag(cleanse(d, om, source=p, strict=False))
+            == dumps_dag(cleanse(ref, source=p, strict=False)))
+    return d, om
+
+
+WIDE_ATOMS = [q_var(f"w{i}") for i in range(80)]
+
+
+@st.composite
+def shared_proofs(draw, atoms=ATOMS):
+    """Implicational proofs built from a pool of earlier proofs, reusing
+    the pool's objects: one object can sit at several levels and under
+    several parents, so sites and occurrences differ."""
+    pick = st.sampled_from(atoms)
+    pool = [hyp(draw(pick))]
+    for _ in range(draw(st.integers(1, 16))):
+        sub = draw(st.sampled_from(pool))
+        step = draw(st.sampled_from(("intro", "elim", "apply", "double", "pair")))
+        c = sub.conclusion
+        if step == "intro":
+            new = imp_intro(sub, draw(pick))
+        elif step == "elim":
+            new = imp_elim(hyp(imp(c, draw(pick))), sub)
+        elif step == "double":
+            new = imp_elim(imp_intro(sub, c), sub)
+        elif step == "pair":
+            # `sub` and `other` (possibly `sub` again) at the same level
+            other = draw(st.sampled_from(pool))
+            d, e = draw(pick), draw(pick)
+            new = imp_elim(imp_elim(hyp(imp(c, imp(d, e))), sub),
+                           imp_elim(hyp(imp(other.conclusion, d)), other))
+        else:
+            pairs = [(q, r) for q in pool for r in pool
+                     if q.conclusion.kind == IMP and q.conclusion.left is r.conclusion]
+            new = imp_elim(*draw(st.sampled_from(pairs))) if pairs else hyp(draw(pick))
+        pool.append(new)
+    return pool[-1]
+
+
+class TestSiteCompression:
+    @given(shared_proofs(atoms=ATOMS[:2]))
+    @settings(max_examples=300)
+    def test_shared_proofs_match_the_per_occurrence_definition(self, p):
+        assert_matches_reference(p)
+
+    @given(implicational_proofs())
+    @settings(max_examples=50)
+    def test_unshared_proofs_match_the_per_occurrence_definition(self, p):
+        assert_matches_reference(p)
+
+    def test_pipeline_proofs_match_the_per_occurrence_definition(self):
+        for g in (Graph(2, frozenset()), Graph(3, frozenset()), chain_graph(3)):
+            q, _, _ = pipeline(g)
+            d, om = assert_matches_reference(q)
+            assert len(om.mult) < len(om)
+        _, _, c = pipeline(Graph(3, frozenset()))
+        assert c.incoherent > 0
+
+    def test_sites_grow_with_distinct_nodes_not_occurrences(self):
+        for k in (1, 2, 5):
+            assert_matches_reference(doubling_proof(k))
+        d, om = compress_horizontal(doubling_proof(60))
+        assert len(om) == 2**62 - 2
+        assert len(om.mult) < 4000
+        assert d.source_tree_weight == check_tree(doubling_proof(60)).weight
+
+
+def word_passing_proof():
+    """An open proof of w69 from w0 through 69 implication hypotheses: 70
+    distinct hypothesis formulas, more bits than a machine word."""
+    p = hyp(WIDE_ATOMS[0])
+    for q in WIDE_ATOMS[1:70]:
+        p = imp_elim(hyp(imp(p.conclusion, q)), p)
+    return p
+
+
+class TestOpenSetMasks:
+    def test_more_hypotheses_than_a_machine_word(self):
+        p = word_passing_proof()
+        steps = [imp(a, b) for a, b in zip(WIDE_ATOMS[:69], WIDE_ATOMS[1:70])]
+        # discharge the first and the last hypothesis the walk numbers
+        q = imp_intro(imp_intro(p, steps[-1]), WIDE_ATOMS[0])
+        with pytest.raises(OpenAssumptionsError) as err:
+            verify_dag(tree_to_dag(q))
+        assert err.value.open_set == check_tree(q).open_assumptions == frozenset(steps[:-1])
+        for f in reversed(steps[:-1]):
+            q = imp_intro(q, f)
+        assert verify_dag(tree_to_dag(q)).weight == check_tree(q).weight
+
+    def test_vacuous_discharge_keeps_the_mask(self):
+        # B is discharged above A only, and assumed in the other premise
+        p = imp_elim(imp_intro(hyp(A), B), hyp(B))
+        with pytest.raises(OpenAssumptionsError) as err:
+            verify_dag(tree_to_dag(p))
+        assert err.value.open_set == check_tree(p).open_assumptions == frozenset({A, B})
+
+    def test_open_set_keeps_formula_identities(self):
+        p = imp_elim(hyp(imp(A, B)), hyp(A))
+        with pytest.raises(OpenAssumptionsError) as err:
+            verify_dag(tree_to_dag(p))
+        assert {id(f) for f in err.value.open_set} == {id(imp(A, B)), id(A)}
+
+    @given(shared_proofs(atoms=WIDE_ATOMS))
+    @settings(max_examples=100)
+    def test_tree_and_dag_checkers_agree_on_open_sets(self, p):
+        opens = check_tree(p).open_assumptions
+        try:
+            verify_dag(tree_to_dag(p))
+            assert opens == frozenset()
+        except OpenAssumptionsError as err:
+            assert err.open_set == opens != frozenset()
+
+    def test_error_text_is_sorted_before_the_cut(self):
+        names = [q_var(f"e{i:02d}") for i in (7, 3, 11, 0, 9, 5, 2, 10, 1, 8, 4, 6)]
+        first = OpenAssumptionsError(frozenset(names))
+        again = set()
+        for f in reversed(names):
+            again.add(f)
+        second = OpenAssumptionsError(again)
+        assert str(first) == str(second) == (
+            "dag proof has open assumptions: Q_e00, Q_e01, Q_e02, Q_e03, ...")
 
 
 JSON_VALUES = st.recursive(

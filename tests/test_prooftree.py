@@ -360,3 +360,89 @@ class TestRandomProofs:
     def test_open_assumptions_are_hypothesis_leaves(self, p):
         leaves = {n.conclusion for n in iter_nodes(p) if n.rule == "Hyp"}
         assert check_tree(p).open_assumptions <= leaves
+
+
+WIDE_POOL = [q_var(f"w{i}") for i in range(70)]
+
+
+def reference_open_set(p):
+    """Open assumptions by frozenset arithmetic over distinct nodes."""
+    opens = {}
+    for node in iter_nodes(p):
+        sub = [opens[id(q)] for q in node.premises]
+        if node.rule == "Hyp":
+            opens[id(node)] = frozenset({node.conclusion})
+        elif node.rule == "ImpIntro":
+            opens[id(node)] = sub[0] - {node.discharge[0]}
+        elif node.rule == "OrElimN":
+            opens[id(node)] = sub[0].union(
+                *(case - {d} for case, d in zip(sub[1:], node.discharge)))
+        else:
+            opens[id(node)] = frozenset().union(*sub)
+    return opens[id(p)]
+
+
+@st.composite
+def wide_proofs(draw):
+    """Proofs over 70 atoms that reuse earlier subproofs and split cases,
+    with discharges that are often vacuous."""
+    atoms = st.sampled_from(WIDE_POOL)
+    pool = [hyp(draw(atoms)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 12))):
+        sub = draw(st.sampled_from(pool))
+        step = draw(st.integers(0, 2))
+        if step == 0:
+            new = imp_intro(sub, draw(st.sampled_from([*WIDE_POOL[:3], *(
+                n.conclusion for n in iter_nodes(sub) if n.rule == "Hyp")])))
+        elif step == 1:
+            new = imp_elim(hyp(imp(sub.conclusion, draw(atoms))), sub)
+        else:
+            other = draw(st.sampled_from(pool))
+            d1, d2 = draw(atoms), draw(atoms)
+            case2 = imp_elim(hyp(imp(other.conclusion, sub.conclusion)), other)
+            new = or_elim(hyp(disj(d1, d2)), [sub, case2], (d1, d2))
+        pool.append(new)
+    return pool[-1]
+
+
+class TestOpenSetMasks:
+    def test_more_hypotheses_than_a_machine_word(self):
+        p = hyp(WIDE_POOL[0])
+        for q in WIDE_POOL[1:]:
+            p = imp_elim(hyp(imp(p.conclusion, q)), p)
+        steps = [imp(a, b) for a, b in zip(WIDE_POOL, WIDE_POOL[1:])]
+        assert check_tree(p).open_assumptions == frozenset([WIDE_POOL[0], *steps])
+        # the walk numbers the outermost step 0 and the innermost leaf 69
+        q = imp_intro(imp_intro(p, steps[-1]), WIDE_POOL[0])
+        assert check_tree(q).open_assumptions == frozenset(steps[:-1])
+        for f in steps[:-1]:
+            q = imp_intro(q, f)
+        assert check_tree(q).open_assumptions == frozenset()
+
+    def test_vacuous_discharge_of_a_formula_assumed_elsewhere(self):
+        # discharged before the walk meets its hypothesis in the minor
+        p = imp_elim(imp_intro(hyp(A), B), hyp(B))
+        assert check_tree(p).open_assumptions == frozenset({A, B})
+        # discharged after the walk met its hypothesis in the major
+        q = imp_elim(imp_elim(hyp(imp(B, imp(imp(B, C), D))), hyp(B)), imp_intro(hyp(C), B))
+        assert check_tree(q).open_assumptions == frozenset({imp(B, imp(imp(B, C), D)), B, C})
+
+    def test_or_elim_discharges_per_case(self):
+        case_b = imp_elim(hyp(imp(B, C)), hyp(B))
+        p = or_elim(hyp(disj(A, B)), [imp_elim(hyp(imp(A, C)), hyp(A)), case_b], (A, B))
+        assert check_tree(p).open_assumptions == frozenset({disj(A, B), imp(A, C), imp(B, C)})
+        # a case's discharge leaves the major and the other cases alone
+        major = imp_elim(imp_elim(hyp(imp(A, imp(B, disj(A, B)))), hyp(A)), hyp(B))
+        case_a = imp_elim(imp_elim(hyp(imp(A, imp(B, C))), hyp(A)), hyp(B))
+        q = or_elim(major, [case_a, case_b], (A, B))
+        assert check_tree(q).open_assumptions == frozenset(
+            {imp(A, imp(B, disj(A, B))), A, B, imp(A, imp(B, C)), imp(B, C)})
+
+    def test_open_set_keeps_formula_identities(self):
+        m = check_tree(imp_elim(hyp(imp(A, B)), hyp(A)))
+        assert {id(f) for f in m.open_assumptions} == {id(imp(A, B)), id(A)}
+
+    @given(wide_proofs())
+    @settings(max_examples=150)
+    def test_masks_match_frozenset_bookkeeping(self, p):
+        assert check_tree(p).open_assumptions == reference_open_set(p)
