@@ -115,15 +115,17 @@ def _walk(p: ProofTree, sites: bool):
     nodes: list[ProofTree] = []
     levels: list[int] = []
     children: list[list[int]] = []
-    seen: dict[tuple[int, int], int] = {}
+    seen: list[dict[int, int]] = []  # per level: id(node) -> visit id
     stack: list[tuple[ProofTree, int, int]] = [(p, 0, -1)]
     while stack:
         node, level, par = stack.pop()
-        idx = seen.get((id(node), level)) if sites else None
+        if level == len(seen):
+            seen.append({})
+        idx = seen[level].get(id(node)) if sites else None
         if idx is None:
             idx = len(nodes)
             if sites:
-                seen[id(node), level] = idx
+                seen[level][id(node)] = idx
             nodes.append(node)
             levels.append(level)
             children.append([])
@@ -176,14 +178,15 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
         first = sites[0]
         level = site_level[first]
         formula = site_nodes[first].conclusion
-        groups: dict[tuple, int] = {}
-        group_first: list[int] = []
-        for s in sites:
-            sig = (site_nodes[s].rule, site_nodes[s].discharge,
-                   tuple(site_class[c] for c in site_children[s]))
-            group_of[s] = groups.setdefault(sig, len(group_first))
-            if group_of[s] == len(group_first):
-                group_first.append(s)
+        group_first = [first]
+        if len(sites) > 1:  # a lone site is group 0 of its class
+            groups: dict[tuple, int] = {}
+            for s in sites:
+                node = site_nodes[s]
+                sig = (node.rule, node.discharge, tuple([site_class[c] for c in site_children[s]]))
+                gi = group_of[s] = groups.setdefault(sig, len(groups))
+                if gi == len(group_first):
+                    group_first.append(s)
         if len(group_first) == 1:
             class_record[cid] = len(records)
             records.append((2 * level * total + first, formula, site_nodes[first].rule,
@@ -209,7 +212,7 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     for ri in order:
         _, formula, rule, level, is_rep, plan = records[ri]
         refs = position if rule == SEP else class_node
-        nodes.append(DagNode(formula, rule, tuple(refs[x] for x in plan), level, is_rep))
+        nodes.append(DagNode(formula, rule, tuple([refs[x] for x in plan]), level, is_rep))
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
                    had_duplicates=len(class_sites) < occurrences)
     origin = OriginMap(node_of=[class_node[cid] for cid in site_class], level_of=site_level,
