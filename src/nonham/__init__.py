@@ -7,7 +7,7 @@ translated into purely implicational minimal logic, and horizontally
 compressed into a dag proof that an independent checker re-verifies.
 """
 
-from .builder import BuildReport, build_case_tower, build_leaf, build_refutation, finalize_negation, unfold_nary
+from .builder import BuildReport, build_case_tower, build_refutation, finalize_negation, unfold_nary
 from .dagproof import (
     Compression,
     DagNode,
@@ -34,7 +34,6 @@ from .formulas import (
     formulas_from_table,
     formulas_to_table,
     imp,
-    parse_formula,
     to_text,
     var,
     weight,
@@ -80,7 +79,6 @@ __all__ = [
     "XVar",
     "bot",
     "build_case_tower",
-    "build_leaf",
     "build_refutation",
     "check_tree",
     "cleanse",
@@ -103,7 +101,6 @@ __all__ = [
     "is_normal",
     "loads_dag",
     "loads_proof",
-    "parse_formula",
     "parse_graph",
     "satisfiable",
     "subformula_ok",

@@ -59,7 +59,6 @@ class BenchRow:
     # verdicts ride along but stay out of the pinned CSV schema
     incoherent_s: int = 0
     dag_verified: bool = False
-    verdict: str = "verified"
 
     def csv_values(self, timing: bool = True) -> list[str]:
         return [
@@ -89,10 +88,14 @@ def family_graphs(family: str, n_values, seed: int = 0, count: int = 1) -> list[
     """Deterministic (n, graph) list for a named family.
 
     `random` draws edge-probability-0.3 graphs and rejection-samples until
-    non-Hamiltonian, `count` graphs per n, all from one seeded stream.
+    non-Hamiltonian, `count` graphs per n, all from one seeded stream. Every
+    family needs n >= 2: each graph on one vertex is Hamiltonian, so the
+    `random` draw would never end.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if min(n_values, default=2) < 2:
+        raise ValueError(f"family {family!r} needs n >= 2")
     out: list[tuple[int, Graph]] = []
     if family == "random":
         rng = Random(seed)
@@ -106,8 +109,6 @@ def family_graphs(family: str, n_values, seed: int = 0, count: int = 1) -> list[
         return out
     make = empty_graph if family == "empty" else chain_graph
     for n in n_values:
-        if n < 2:
-            raise ValueError(f"family {family!r} needs n >= 2")
         out.append((n, make(n)))
     return out
 
@@ -145,7 +146,6 @@ def pipeline_row(g: Graph, mode: str = "auto", cap: int | None = None) -> BenchR
         wall_time_ms=elapsed_ms,
         incoherent_s=c.incoherent,
         dag_verified=c.verified,
-        verdict=c.verdict,
     )
 
 
@@ -196,7 +196,12 @@ def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
     """Rows for a family, in (n, graph) order. An n above the builder cap
     is reported to `log` and skipped before any graph is drawn, and so is a
     graph whose artifacts cannot be built at all; verification verdicts on
-    built artifacts live on the rows themselves."""
+    built artifacts live on the rows themselves. An empty n range or a
+    count below 1 raises ValueError before any work."""
+    if not n_values:
+        raise ValueError("empty n range")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     log = log if log is not None else sys.stderr
     buildable = []
     for n in n_values:

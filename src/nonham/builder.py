@@ -15,8 +15,8 @@ ImpIntro, ImpElim, AndElimL/R and binary OrElimN. Stages:
    its prefix already contains a violation, in `faithful` mode all n^n
    full sequences get leaves;
 3. `unfold_nary` rewrites every n-ary split into right-nested binary ones;
-4. `finalize_negation` checks the only open assumption is the encoding and
-   discharges it.
+4. `finalize_negation` discharges the encoding and checks, once, that the
+   resulting proof of encoding -> false is closed.
 
 Leaf proofs and elimination chains are memoized, so the result is a tree
 by occurrence but a small dag by object identity; the kernel and metrics
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .errors import (
     CapExceededError,
     GraphIsHamiltonianError,
-    NoViolationError,
     ShapeMismatchError,
     WrongOpenSetError,
 )
@@ -120,17 +119,6 @@ def leaf_from_violation(viol: Violation, enc: PathEncoding,
         raise TypeError(f"not a violation: {viol!r}")
     chain = elim_chain(root_hyp, path)
     return imp_elim(imp_elim(chain, hyp(first)), hyp(second))
-
-
-def build_leaf(seq, g: Graph, enc: PathEncoding | None = None) -> ProofTree:
-    """Leaf refutation for a full candidate sequence; its least violation
-    picks the banning conjunct."""
-    if enc is None:
-        enc = encode_graph(g)
-    viol = find_violation(seq, g)
-    if viol is None:
-        raise NoViolationError(f"{list(seq)} is a Hamiltonian path, nothing to refute")
-    return leaf_from_violation(viol, enc)
 
 
 def build_case_tower(g: Graph, enc: PathEncoding | None = None,
@@ -224,14 +212,15 @@ def unfold_nary(p: ProofTree) -> ProofTree:
     return memo[id(p)]
 
 
-def finalize_negation(p: ProofTree, enc: PathEncoding) -> ProofTree:
+def finalize_negation(p: ProofTree, enc: PathEncoding) -> tuple[ProofTree, Metrics]:
     """Discharge the encoding: from a proof of `false` open only in the
-    encoding, conclude encoding -> false."""
-    metrics = check_tree(p)
-    expected = frozenset((enc.formula,))
-    if metrics.open_assumptions != expected:
-        raise WrongOpenSetError(metrics.open_assumptions, expected)
-    return imp_intro(p, enc.formula)
+    encoding, conclude encoding -> false. Returns the proof and its metrics
+    from the one check, which requires the discharged proof to be closed."""
+    proof = imp_intro(p, enc.formula)
+    metrics = check_tree(proof)
+    if metrics.open_assumptions:
+        raise WrongOpenSetError(metrics.open_assumptions, frozenset())
+    return proof, metrics
 
 
 @dataclass
@@ -270,8 +259,7 @@ def build_refutation(g: Graph, mode: str = "auto",
         heights[id(node)] = 1 + max((heights[id(q)] for q in node.premises), default=0)
     tower_height = heights[id(tower)]
     unfolded = unfold_nary(tower)
-    proof = finalize_negation(unfolded, enc)
-    metrics = check_tree(proof)
+    proof, metrics = finalize_negation(unfolded, enc)
     return BuildReport(
         proof=proof,
         encoding=enc,

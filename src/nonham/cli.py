@@ -33,7 +33,6 @@ from .dagproof import compress_and_verify, dag_from_json, verify_dag
 from .encoding import SAT_CAP, check_encode_cap, check_sat_cap, encode_graph, satisfiable
 from .errors import (
     CapExceededError,
-    FormulaSyntaxError,
     GraphFormatError,
     GraphIsHamiltonianError,
     IllFormedDagError,
@@ -65,7 +64,6 @@ REPORT_TEXT_LIMIT = 1 << 16
 
 _INPUT_ERRORS = (
     GraphFormatError,
-    FormulaSyntaxError,
     ProofFormatError,
     CapExceededError,
     UnsupportedRuleError,

@@ -19,7 +19,7 @@ a left fold over the present parts in the order above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class PathEncoding:
     # conjunct positions: repeat_pos[(v, i, j)], edge_pos[(v, w, i)]
     repeat_pos: dict[tuple[int, int, int], int]
     edge_pos: dict[tuple[int, int, int], int]
-    # reverse map: conjunct formula -> (tag, parameters)
-    component_params: dict[Formula, tuple] = field(default_factory=dict)
 
     @property
     def present(self) -> list[str]:
@@ -72,13 +70,11 @@ def encode_graph(g: Graph) -> PathEncoding:
     verts = range(1, n + 1)
 
     conjuncts: dict[str, list[Formula]] = {tag: [] for tag in PART_TAGS}
-    params: dict[Formula, tuple] = {}
     repeat_pos: dict[tuple[int, int, int], int] = {}
     edge_pos: dict[tuple[int, int, int], int] = {}
 
     for v in verts:
         c = chain_disj([x_var(i, v) for i in steps])
-        params.setdefault(c, ("coverage", v))
         conjuncts["coverage"].append(c)
 
     for v in verts:
@@ -88,25 +84,21 @@ def encode_graph(g: Graph) -> PathEncoding:
                     continue
                 c = imp(x_var(i, v), imp(x_var(j, v), bot()))
                 repeat_pos[(v, i, j)] = len(conjuncts["repeat_ban"])
-                params.setdefault(c, ("repeat_ban", v, i, j))
                 conjuncts["repeat_ban"].append(c)
 
     for i in steps:
         c = chain_disj([x_var(i, v) for v in verts])
-        params.setdefault(c, ("step_occupied", i))
         conjuncts["step_occupied"].append(c)
 
     for v, w in ordered_pairs(n):
         for i in steps:
             c = imp(x_var(i, v), imp(x_var(i, w), bot()))
-            params.setdefault(c, ("step_unique", v, w, i))
             conjuncts["step_unique"].append(c)
 
     for v, w in g.missing_pairs():
         for i in range(1, n):
             c = imp(x_var(i, v), imp(x_var(i + 1, w), bot()))
             edge_pos[(v, w, i)] = len(conjuncts["edge_ban"])
-            params.setdefault(c, ("edge_ban", v, w, i))
             conjuncts["edge_ban"].append(c)
 
     parts: dict[str, Formula | None] = {
@@ -124,7 +116,6 @@ def encode_graph(g: Graph) -> PathEncoding:
         formula=formula,
         repeat_pos=repeat_pos,
         edge_pos=edge_pos,
-        component_params=params,
     )
 
 

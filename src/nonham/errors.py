@@ -24,10 +24,6 @@ class CapExceededError(NonhamError):
     """Raised when a brute-force operation is asked to exceed its size cap."""
 
 
-class FormulaSyntaxError(NonhamError):
-    """Raised when formula text cannot be tokenized or parsed."""
-
-
 class UnboundVariableError(NonhamError):
     """Raised when evaluation meets a variable missing from the assignment."""
 
@@ -42,10 +38,6 @@ class GraphIsHamiltonianError(NonhamError):
     def __init__(self, witness):
         self.witness = tuple(witness)
         super().__init__(f"graph has a Hamiltonian path: {list(self.witness)}")
-
-
-class NoViolationError(NonhamError):
-    """Raised when a leaf refutation is requested for a violation-free sequence."""
 
 
 class IllFormedProofError(NonhamError):

@@ -10,14 +10,15 @@ keys stable. Construction is not thread-safe; build formulas on one thread,
 read them from anywhere.
 
 Proof objects downstream get large (antecedent chains nest thousands deep),
-so none of the walks here recurse: serialization, parsing and evaluation
-all run on explicit stacks.
+so none of the walks here recurse: rendering, table conversion and
+evaluation all run on explicit stacks.
 
 Artifacts store formulas as a table (`formulas_to_table`,
 `formulas_from_table`) that keeps the in-memory sharing: one entry per
 distinct formula, children before parents, each entry naming its children
-by table index. The sharing follows Filliâtre & Conchon, "Type-safe modular
-hash-consing" (2006).
+by table index. Text (`to_text`) is only written, for reports and
+messages; nothing parses it back. The sharing follows Filliâtre &
+Conchon, "Type-safe modular hash-consing" (2006).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import FormulaSyntaxError, ProofFormatError, UnboundVariableError
+from .errors import ProofFormatError, UnboundVariableError
 
 BOT, VAR, AND, OR, IMP = range(5)
 
@@ -204,75 +205,17 @@ def to_text(f: Formula, limit: int | None = None) -> str:
     return "".join(out)
 
 
-_TOKEN = re.compile(r"\(|\)|&|\||->|false|X_\d+_\d+|Q_[A-Za-z0-9]+")
-_WS = re.compile(r"\s*")
 _X_NAME = re.compile(r"X_(\d+)_(\d+)")
 
 
 def parse_var_name(text: str) -> VarName:
+    """The variable a table entry names; ValueError when the name is bad."""
     m = _X_NAME.fullmatch(text)
     if m:
-        step, vertex = int(m.group(1)), int(m.group(2))
-        if step < 1 or vertex < 1:
-            raise FormulaSyntaxError(f"variable indices must be positive: {text}")
-        return XVar(step, vertex)
-    if text.startswith("Q_") and re.fullmatch(r"Q_[A-Za-z0-9]+", text):
+        return XVar(int(m.group(1)), int(m.group(2)))
+    if text.startswith("Q_"):
         return QVar(text[2:])
-    raise FormulaSyntaxError(f"bad variable name: {text!r}")
-
-
-def _tokenize(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character at offset {pos}: {text[pos]!r}")
-        toks.append(m.group())
-        pos = m.end()
-    return toks
-
-
-_OPS = {"&": AND, "|": OR, "->": IMP}
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse the exchange syntax. Binary connectives must be parenthesized."""
-    toks = _tokenize(text)
-    if not toks:
-        raise FormulaSyntaxError("empty formula")
-    # frames[i] = [left operand or None, operator kind or None]
-    frames: list[list] = []
-    value: Formula | None = None
-    for tok in toks:
-        if tok == "(":
-            if value is not None:
-                raise FormulaSyntaxError("missing connective before '('")
-            frames.append([None, None])
-        elif tok in _OPS:
-            if value is None or not frames or frames[-1][1] is not None:
-                raise FormulaSyntaxError(f"misplaced connective {tok!r}")
-            frames[-1][0] = value
-            frames[-1][1] = _OPS[tok]
-            value = None
-        elif tok == ")":
-            if not frames or value is None or frames[-1][1] is None:
-                raise FormulaSyntaxError("unbalanced or incomplete parenthesis group")
-            left, op = frames.pop()
-            value = _mk(op, None, left, value)
-        else:
-            if value is not None:
-                raise FormulaSyntaxError(f"two operands in a row near {tok!r}")
-            value = bot() if tok == "false" else var(parse_var_name(tok))
-    if frames:
-        raise FormulaSyntaxError("unclosed parenthesis")
-    if value is None:
-        raise FormulaSyntaxError("incomplete formula")
-    return value
+    raise ValueError(f"bad variable name: {text!r}")
 
 
 # Largest weight a table entry may have. A table shares subformulas, so a few
@@ -341,7 +284,7 @@ def formulas_from_table(entries) -> list[Formula]:
         elif tag == "var" and size == 2 and type(entry[1]) is str:
             try:
                 name = parse_var_name(entry[1])
-            except (FormulaSyntaxError, ValueError) as exc:
+            except ValueError as exc:
                 raise ProofFormatError(f"formula {pos}: {exc}") from None
             out.append(_mk(VAR, name, None, None))
         elif tag in _TAG_KIND and size == 3:

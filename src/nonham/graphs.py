@@ -39,9 +39,6 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop not allowed: {e!r}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Ordered pairs (v, w), v != w, that are not edges, lexicographic."""
         return [p for p in ordered_pairs(self.n) if p not in self.edges]

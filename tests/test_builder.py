@@ -2,13 +2,15 @@
 
 import pytest
 
+import nonham.builder
+from nonham.bench import chain_graph
 from nonham.builder import (
     FAITHFUL_CAP,
     PRUNED_CAP,
     build_case_tower,
-    build_leaf,
     build_refutation,
     finalize_negation,
+    leaf_from_violation,
     resolve_mode,
     unfold_nary,
 )
@@ -16,7 +18,6 @@ from nonham.encoding import encode_graph
 from nonham.errors import (
     CapExceededError,
     GraphIsHamiltonianError,
-    NoViolationError,
     WrongOpenSetError,
 )
 from nonham.formulas import bot, imp, x_var
@@ -34,7 +35,7 @@ class TestLeaves:
     def test_repeat_leaf_open_set(self):
         g = empty(2)
         enc = encode_graph(g)
-        leaf = build_leaf([1, 1], g, enc)
+        leaf = leaf_from_violation(find_violation([1, 1], g), enc)
         m = check_tree(leaf)
         assert leaf.conclusion is bot()
         assert m.open_assumptions == frozenset(
@@ -44,7 +45,7 @@ class TestLeaves:
     def test_missing_edge_leaf_open_set(self):
         g = Graph(2, frozenset({(2, 1)}))
         enc = encode_graph(g)
-        leaf = build_leaf([1, 2], g, enc)
+        leaf = leaf_from_violation(find_violation([1, 2], g), enc)
         m = check_tree(leaf)
         assert m.open_assumptions == frozenset(
             {enc.formula, x_var(1, 1), x_var(2, 2)}
@@ -54,14 +55,9 @@ class TestLeaves:
         g = empty(3)
         enc = encode_graph(g)
         for seq in ([1, 1, 1], [1, 2, 3], [3, 2, 2]):
-            leaf = build_leaf(seq, g, enc)
+            leaf = leaf_from_violation(find_violation(seq, g), enc)
             assert is_normal(leaf)
             assert leaf.conclusion is bot()
-
-    def test_hamiltonian_sequence_has_no_leaf(self):
-        g = Graph(2, frozenset({(1, 2)}))
-        with pytest.raises(NoViolationError):
-            build_leaf([1, 2], g)
 
 
 class TestCaseTower:
@@ -126,17 +122,32 @@ class TestFinalize:
         g = empty(2)
         enc = encode_graph(g)
         tower, _ = build_case_tower(g, enc)
-        p = finalize_negation(unfold_nary(tower), enc)
-        m = check_tree(p)
+        p, m = finalize_negation(unfold_nary(tower), enc)
         assert p.conclusion is imp(enc.formula, bot())
         assert m.open_assumptions == frozenset()
+        assert m == check_tree(p)
 
     def test_rejects_wrong_open_set(self):
         enc = encode_graph(empty(2))
         with pytest.raises(WrongOpenSetError) as err:
             finalize_negation(hyp(bot()), enc)
-        assert err.value.expected == frozenset({enc.formula})
+        assert err.value.expected == frozenset()
         assert bot() in err.value.open_set
+
+    @pytest.mark.parametrize("g, mode", [(empty(3), "faithful"), (chain_graph(5), "pruned")],
+                             ids=["empty3", "chain5"])
+    def test_build_checks_the_proof_once(self, g, mode, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return check_tree(p)
+
+        monkeypatch.setattr(nonham.builder, "check_tree", counting)
+        report = build_refutation(g)
+        assert report.mode == mode
+        assert len(calls) == 1
+        assert report.metrics == check_tree(report.proof)
 
 
 class TestModesAndCaps:

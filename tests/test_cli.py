@@ -301,6 +301,17 @@ class TestBench:
         assert code == 4
         assert "no benchmark rows survived" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "empty", "--n-min", "5", "--n-max", "2"], "empty n range"),
+        (["--family", "random", "--count", "0"], "count must be at least 1, got 0"),
+        (["--family", "random", "--n-min", "1", "--n-max", "1"], "family 'random' needs n >= 2"),
+    ], ids=["empty-range", "zero-count", "random-n1"])
+    def test_bad_ranges_exit_2(self, args, message, capsys):
+        assert main(["bench", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestMisc:
     def test_version_flag(self, capsys):
