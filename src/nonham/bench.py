@@ -197,20 +197,25 @@ def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
     is reported to `log` and skipped before any graph is drawn, and so is a
     graph whose artifacts cannot be built at all; verification verdicts on
     built artifacts live on the rows themselves. An empty n range or a
-    count below 1 raises ValueError before any work."""
+    count below 1 raises ValueError, and a range with no n under the
+    builder cap raises the first n's CapExceededError, before any work."""
     if not n_values:
         raise ValueError("empty n range")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     log = log if log is not None else sys.stderr
-    buildable = []
+    buildable, refused = [], []
     for n in n_values:
         try:
             check_builder_cap(n, mode, cap)
         except CapExceededError as exc:
-            print(f"bench: n={n}: {exc}", file=log)
+            refused.append((n, exc))
         else:
             buildable.append(n)
+    if not buildable:
+        raise refused[0][1]
+    for n, exc in refused:
+        print(f"bench: n={n}: {exc}", file=log)
     rows: list[BenchRow] = []
     for n, g in family_graphs(family, buildable, seed=seed, count=count):
         try:

@@ -10,8 +10,11 @@ keys stable. Construction is not thread-safe; build formulas on one thread,
 read them from anywhere.
 
 Proof objects downstream get large (antecedent chains nest thousands deep),
-so none of the walks here recurse: rendering, table conversion and
-evaluation all run on explicit stacks.
+so no walk here recurses. `subformulas` is the package's one walk over a
+formula: it visits each distinct subformula once, children first, and table
+conversion, evaluation, kernel compilation and the implicational translation
+all run on it. `to_text` is a different walk: it visits every occurrence,
+not every distinct formula, and stops at its limit.
 
 Artifacts store formulas as a table (`formulas_to_table`,
 `formulas_from_table`) that keeps the in-memory sharing: one entry per
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Union
 
 from .errors import ProofFormatError, UnboundVariableError
 
@@ -142,34 +145,40 @@ def weight(f: Formula) -> int:
 
 def is_implicational(f: Formula) -> bool:
     """True when the formula uses only variables and implication."""
-    stack = [f]
-    seen = set()
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if g.kind in (AND, OR, BOT):
-            return False
-        if g.kind == IMP:
-            stack.append(g.left)
-            stack.append(g.right)
-    return True
+    return all(g.kind in (VAR, IMP) for g in subformulas(f))
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Distinct subformulas, parents before children."""
+def subformulas(f: Formula, done: Container[Formula] | None = None) -> Iterator[Formula]:
+    """Distinct subformulas of `f` in left-to-right postorder: each part
+    before its parent, the left part before the right one.
+
+    Nothing in `done` is yielded or descended into. With `done=None` the
+    walk keeps its own visited set. A memoizing caller passes its memo (any
+    container of formulas) as `done` instead, and must record each yielded
+    formula in it before asking for the next one, or the walk never ends; it
+    then keeps no set of its own and makes about one membership test per
+    edge. The stack is explicit, so chains of any depth walk without
+    recursion.
+    """
+    own = done is None
+    if own:
+        done = set()
+    if f in done:
+        return
     stack = [f]
-    seen = set()
     while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
+        g = stack[-1]
+        if g.left is not None:
+            if g.left not in done:
+                stack.append(g.left)
+                continue
+            if g.right not in done:
+                stack.append(g.right)
+                continue
+        stack.pop()
+        if own:
+            done.add(g)
         yield g
-        if g.kind in (AND, OR, IMP):
-            stack.append(g.right)
-            stack.append(g.left)
 
 
 def to_text(f: Formula, limit: int | None = None) -> str:
@@ -240,26 +249,14 @@ def formulas_to_table(roots: Iterable[Formula]) -> tuple[list[list], dict[Formul
     index: dict[Formula, int] = {}
     entries: list[list] = []
     for root in roots:
-        stack = [root]
-        while stack:
-            f = stack[-1]
-            if f in index:
-                stack.pop()
-                continue
+        for f in subformulas(root, index):
             k = f.kind
             if k == BOT:
                 entry = ["false"]
             elif k == VAR:
                 entry = ["var", f.var.name]
-            elif f.left not in index:
-                stack.append(f.left)
-                continue
-            elif f.right not in index:
-                stack.append(f.right)
-                continue
             else:
                 entry = [_TABLE_TAG[k], index[f.left], index[f.right]]
-            stack.pop()
             index[f] = len(entries)
             entries.append(entry)
     return entries, index
@@ -303,37 +300,21 @@ def formulas_from_table(entries) -> list[Formula]:
 def eval_formula(f: Formula, assignment: Mapping[VarName, bool]) -> bool:
     """Classical truth value under the assignment; iterative, memoized per node."""
     memo: dict[Formula, bool] = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
+    for node in subformulas(f, memo):
         k = node.kind
         if k == BOT:
             memo[node] = False
-            stack.pop()
         elif k == VAR:
             try:
                 memo[node] = bool(assignment[node.var])
             except KeyError:
                 raise UnboundVariableError(node.var) from None
-            stack.pop()
+        elif k == AND:
+            memo[node] = memo[node.left] and memo[node.right]
+        elif k == OR:
+            memo[node] = memo[node.left] or memo[node.right]
         else:
-            if node.left not in memo:
-                stack.append(node.left)
-                continue
-            if node.right not in memo:
-                stack.append(node.right)
-                continue
-            a, b = memo[node.left], memo[node.right]
-            if k == AND:
-                memo[node] = a and b
-            elif k == OR:
-                memo[node] = a or b
-            else:
-                memo[node] = (not a) or b
-            stack.pop()
+            memo[node] = (not memo[node.left]) or memo[node.right]
     return memo[f]
 
 

@@ -39,6 +39,7 @@ from .formulas import (
     Formula,
     imp,
     q_var,
+    subformulas,
     to_text,
     weight,
 )
@@ -84,30 +85,18 @@ class Translation:
         return q
 
     def star(self, f: Formula) -> Formula:
-        """Implicational image of a formula; markers shared across calls."""
+        """Implicational image of a formula; markers shared across calls and
+        created in the order `subformulas` yields the formula's parts."""
         memo = self._star_memo
-        stack = [f]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
+        for node in subformulas(f, memo):
             k = node.kind
             if k == VAR:
                 memo[node] = node
-                stack.pop()
                 continue
             if k == BOT:
                 q = q_var("bot")
                 self.qmap.setdefault(node, q)
                 memo[node] = q
-                stack.pop()
-                continue
-            if node.left not in memo:
-                stack.append(node.left)
-                continue
-            if node.right not in memo:
-                stack.append(node.right)
                 continue
             ls, rs = memo[node.left], memo[node.right]
             if k == IMP:
@@ -123,7 +112,6 @@ class Translation:
                 self._add_axiom(imp(ls, q))
                 self._add_axiom(imp(rs, q))
                 memo[node] = q
-            stack.pop()
         return memo[f]
 
     def case_axiom(self, disjunction: Formula, target_star: Formula) -> Formula:
@@ -156,9 +144,9 @@ class Translation:
 
 
 def translate_formula(gamma: Formula) -> Translation:
-    """Translate a formula; markers and eager axioms are assigned in
-    postorder-first-encounter order. The folded goal stays within the cube
-    of the source weight."""
+    """Translate a formula; markers and eager axioms are assigned in the
+    postorder of `subformulas`. The folded goal stays within the cube of the
+    source weight."""
     t = Translation(source=gamma)
     t.star_root = t.star(gamma)
     assert weight(t.rho_star()) <= weight(gamma) ** 3, "translation outgrew its cubic bound"

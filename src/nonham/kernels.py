@@ -1,10 +1,10 @@
 """Batch truth-evaluation kernel.
 
-A formula is compiled once into flat postorder arrays (kind, arg0, arg1)
-plus a variable-slot table, then evaluated over a whole matrix of
-assignments at once by numpy, vectorized over the assignment axis with one
-pass over the nodes. The kernel is differentially tested against the scalar
-evaluator.
+A formula is compiled once, in the postorder `subformulas` yields, into
+flat arrays (kind, arg0, arg1) plus a variable-slot table, then evaluated
+over a whole matrix of assignments at once by numpy, vectorized over the
+assignment axis with one pass over the nodes. The kernel is differentially
+tested against the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import AND, BOT, OR, VAR, Formula, VarName
+from .formulas import AND, BOT, OR, VAR, Formula, VarName, subformulas
 
 
 @dataclass(frozen=True)
@@ -47,36 +47,18 @@ def compile_program(f: Formula) -> Program:
     arg0: list[int] = []
     arg1: list[int] = []
     slots: dict[VarName, int] = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node in index:
-            stack.pop()
-            continue
+    for node in subformulas(f, index):
         k = node.kind
-        if k in (BOT, VAR):
-            slot = -1
-            if k == VAR:
-                slot = slots.setdefault(node.var, len(slots))
-            index[node] = len(kinds)
-            kinds.append(k)
-            arg0.append(slot)
-            arg1.append(-1)
-            stack.pop()
-            continue
-        li = index.get(node.left)
-        if li is None:
-            stack.append(node.left)
-            continue
-        ri = index.get(node.right)
-        if ri is None:
-            stack.append(node.right)
-            continue
+        if k == VAR:
+            a, b = slots.setdefault(node.var, len(slots)), -1
+        elif k == BOT:
+            a, b = -1, -1
+        else:
+            a, b = index[node.left], index[node.right]
         index[node] = len(kinds)
         kinds.append(k)
-        arg0.append(li)
-        arg1.append(ri)
-        stack.pop()
+        arg0.append(a)
+        arg1.append(b)
     prog = Program(
         kinds=np.asarray(kinds, dtype=np.uint8),
         arg0=np.asarray(arg0, dtype=np.int32),

@@ -34,10 +34,10 @@ from .errors import IllFormedProofError, ProofFormatError
 from .formulas import (
     AND,
     IMP,
-    OR,
     Formula,
     chain_disj,
     formulas_to_table,
+    subformulas,
     to_text,
 )
 
@@ -310,15 +310,8 @@ def subformula_ok(p: ProofTree, open_assumptions: frozenset[Formula] | None = No
         node_formulas.append(node.conclusion)
         roots.update(node.discharge)
     allowed: set[Formula] = set()
-    stack = list(roots)
-    while stack:
-        f = stack.pop()
-        if f in allowed:
-            continue
-        allowed.add(f)
-        if f.kind in (AND, OR, IMP):
-            stack.append(f.left)
-            stack.append(f.right)
+    for r in roots:
+        allowed.update(subformulas(r, allowed))
     return all(f in allowed for f in node_formulas)
 
 

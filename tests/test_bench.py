@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from nonham import bench
 from nonham.bench import (
     CSV_FIELDS,
     chain_graph,
@@ -18,7 +19,10 @@ from nonham.bench import (
     run_bench,
     verdict_summary,
 )
+from nonham.errors import CapExceededError, NonhamError
+from nonham.formulas import q_var
 from nonham.graphs import is_hamiltonian
+from nonham.prooftree import hyp, imp_intro
 
 PINNED_HEADER = (
     "n,graph_id,rho_weight,tree_height,tree_weight,tree_distinct_weight,"
@@ -133,11 +137,31 @@ class TestRunBench:
     def test_oversized_n_is_skipped_before_drawing_graphs(self):
         # drawing a non-Hamiltonian random graph at n=12 runs a 12! path
         # search per candidate; the builder cap refuses n=12 first
-        log = io.StringIO()
         start = time.perf_counter()
-        assert run_bench("random", [12], log=log) == []
+        with pytest.raises(CapExceededError, match="n=12 exceeds the .* builder cap"):
+            run_bench("random", [12])
         assert time.perf_counter() - start < 1.0
-        assert "n=12" in log.getvalue() and "builder cap" in log.getvalue()
+
+    def test_open_translated_proof_is_refused(self, monkeypatch):
+        monkeypatch.setattr(bench, "translate_proof", lambda p, t: hyp(q_var("open")))
+        with pytest.raises(NonhamError, match="translated proof is not closed"):
+            pipeline_row(empty_graph(2))
+        log = io.StringIO()
+        assert run_bench("empty", [2, 3], log=log) == []
+        assert log.getvalue().splitlines() == [
+            f"bench: n={n} graph_id=0: translated proof is not closed" for n in (2, 3)
+        ]
+
+    def test_tree_that_does_not_replay_is_refused(self, monkeypatch):
+        a = q_var("a")
+        monkeypatch.setattr(bench, "loads_proof", lambda text: imp_intro(hyp(a), a))
+        with pytest.raises(NonhamError, match="does not replay from its serialization"):
+            pipeline_row(empty_graph(2))
+        log = io.StringIO()
+        assert run_bench("empty", [2], log=log) == []
+        assert log.getvalue() == (
+            "bench: n=2 graph_id=0: tree proof does not replay from its serialization\n"
+        )
 
     def test_verdict_summary_counts(self):
         rows = run_bench("empty", [2, 3])

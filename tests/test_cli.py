@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import nonham
+import nonham.bench
 from nonham.cli import REPORT_TEXT_LIMIT, main
 from nonham.dagproof import compress_and_verify, compress_horizontal
 from nonham.encoding import ENCODE_CAP
+from nonham.errors import NonhamError
 from nonham.formulas import imp, q_var
 from nonham.prooftree import check_tree, hyp, imp_elim, imp_intro, dumps_proof, loads_proof
 
@@ -293,13 +295,32 @@ class TestBench:
         assert payload["fit"]["points"] == 3
         assert payload["fit"]["ci_low"] <= payload["fit"]["exponent"] <= payload["fit"]["ci_high"]
 
-    def test_no_surviving_rows_exits_4(self, capsys):
+    def test_no_surviving_rows_exits_4(self, monkeypatch, capsys):
+        def fail(g, mode, cap):
+            raise NonhamError("row failed")
+
+        monkeypatch.setattr(nonham.bench, "pipeline_row", fail)
+        code = main(["bench", "--family", "empty", "--n-min", "2", "--n-max", "3"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "bench: n=2 graph_id=0: row failed",
+            "bench: n=3 graph_id=0: row failed",
+            "error: no benchmark rows survived",
+        ]
+
+    def test_range_over_the_builder_cap_exits_2(self, capsys):
         code = main([
-            "bench", "--family", "empty", "--n-min", "7", "--n-max", "7",
+            "bench", "--family", "empty", "--n-min", "7", "--n-max", "8",
             "--mode", "pruned",
         ])
-        assert code == 4
-        assert "no benchmark rows survived" in capsys.readouterr().err
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n=7 exceeds the pruned builder cap 6; pass cap=7 to run anyway\n"
+        )
 
     @pytest.mark.parametrize("args, message", [
         (["--family", "empty", "--n-min", "5", "--n-max", "2"], "empty n range"),

@@ -267,6 +267,50 @@ class TestQueries:
         assert subs == {f, conj(A, B), A, B}
         assert {g.var for g in subs if g.kind == VAR} == {QVar("a"), QVar("b")}
 
+    @given(formulas())
+    def test_subformulas_walk_children_first_like_the_table(self, f):
+        def parts(g):
+            if g.kind in (BOT, VAR):
+                return {g}
+            return {g} | parts(g.left) | parts(g.right)
+
+        walk = list(subformulas(f))
+        assert len(walk) == len(set(walk))
+        assert set(walk) == parts(f)
+        pos = {g: i for i, g in enumerate(walk)}
+        for g in walk:
+            if g.kind not in (BOT, VAR):
+                assert pos[g.left] < pos[g] and pos[g.right] < pos[g]
+        table, index = formulas_to_table([f])
+        assert walk == sorted(index, key=index.get)
+
+    def test_done_stops_the_walk(self):
+        inner = imp(conj(A, B), C)
+        f = disj(inner, imp(B, X11))
+        done, walk = {inner}, []
+        for g in subformulas(f, done):
+            done.add(g)
+            walk.append(g)
+        assert walk == [B, X11, imp(B, X11), f]
+        assert list(subformulas(f, {f})) == []
+
+    def test_deep_chain_walks_without_recursion(self):
+        f = A
+        for _ in range(100_000):
+            f = imp(B, f)
+        walk = list(subformulas(f))
+        assert len(walk) == 100_002
+        assert walk[0] is B and walk[1] is A and walk[-1] is f
+
+    def test_doubling_formula_walks_once_per_distinct_part(self):
+        f = A
+        for _ in range(60):
+            f = imp(f, f)
+        assert f.weight == 2**61 - 1
+        assert len(list(subformulas(f))) == 61
+        assert is_implicational(f)
+        assert not is_implicational(conj(f, f))
+
     def test_is_implicational(self):
         assert is_implicational(imp(A, imp(B, A)))
         assert not is_implicational(conj(A, B))
