@@ -18,9 +18,11 @@ ImpIntro, ImpElim, AndElimL/R and binary OrElimN. Stages:
 4. `finalize_negation` discharges the encoding and checks, once, that the
    resulting proof of encoding -> false is closed.
 
-Leaf proofs and elimination chains are memoized, so the result is a tree
-by occurrence but a small dag by object identity; the kernel and metrics
-treat it as a tree.
+Every node the case tower and `unfold_nary` create goes through one
+`NodeTable` per `build_refutation` call, so equal subproofs (leaves,
+elimination chains, case splits, the suffix hypotheses of unfolded splits)
+are one object: the result is a tree by occurrence but a small dag by
+object identity, and the kernel and metrics treat it as a tree.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .graphs import (
 from .prooftree import (
     OR_ELIM,
     Metrics,
+    NodeTable,
     ProofTree,
     and_elim_l,
     and_elim_r,
@@ -86,25 +89,27 @@ def check_builder_cap(n: int, mode: str = "auto", cap: int | None = None) -> str
     return used
 
 
-def elim_chain(start: ProofTree, path: list[str]) -> ProofTree:
+def elim_chain(start: ProofTree, path: list[str], table: NodeTable) -> ProofTree:
     """Apply AndElimL/AndElimR along an L/R descent path."""
     t = start
     for step in path:
-        t = and_elim_l(t) if step == "L" else and_elim_r(t)
+        t = table.share(and_elim_l(t) if step == "L" else and_elim_r(t))
     return t
 
 
 def leaf_from_violation(viol: Violation, enc: PathEncoding,
-                        root_hyp: ProofTree | None = None) -> ProofTree:
+                        table: NodeTable | None = None) -> ProofTree:
     """Refute `false` from the two position variables a violation pins down.
 
-    Open assumptions: the encoding (via `root_hyp`) and the two variables,
-    which the surrounding case tower discharges. Violations only mention
-    positions inside the sequence prefix that produced them, so every
-    variable used here is discharged by an enclosing case split.
+    Open assumptions: the encoding and the two variables, which the
+    surrounding case tower discharges. Violations only mention positions
+    inside the sequence prefix that produced them, so every variable used
+    here is discharged by an enclosing case split. Nodes go through `table`
+    (a fresh one when None).
     """
-    if root_hyp is None:
-        root_hyp = hyp(enc.formula)
+    if table is None:
+        table = NodeTable()
+    share = table.share
     if isinstance(viol, Repeat):
         pos = enc.repeat_pos[(viol.v, viol.i, viol.j)]
         path = conjunct_path(enc, "repeat_ban", pos)
@@ -117,23 +122,27 @@ def leaf_from_violation(viol: Violation, enc: PathEncoding,
         second = x_var(viol.i + 1, viol.w)
     else:
         raise TypeError(f"not a violation: {viol!r}")
-    chain = elim_chain(root_hyp, path)
-    return imp_elim(imp_elim(chain, hyp(first)), hyp(second))
+    chain = elim_chain(share(hyp(enc.formula)), path, table)
+    return share(imp_elim(share(imp_elim(chain, share(hyp(first)))), share(hyp(second))))
 
 
 def build_case_tower(g: Graph, enc: PathEncoding | None = None,
-                     mode: str = "faithful") -> tuple[ProofTree, int]:
+                     mode: str = "faithful",
+                     table: NodeTable | None = None) -> tuple[ProofTree, int]:
     """Case tower over vertex choices per step; returns (proof, leaf count).
 
     The proof concludes `false`; its open assumptions are exactly the
     encoding. Raises GraphIsHamiltonianError (with the witness) on the
-    first violation-free full sequence.
+    first violation-free full sequence. Nodes go through `table` (a fresh
+    one when None).
     """
     if enc is None:
         enc = encode_graph(g)
+    if table is None:
+        table = NodeTable()
     faithful = resolve_mode(mode, g.n) == "faithful"
     n = g.n
-    root_hyp = hyp(enc.formula)
+    root_hyp = table.share(hyp(enc.formula))
     verts = range(1, n + 1)
 
     leaf_cache: dict[Violation, ProofTree] = {}
@@ -145,14 +154,14 @@ def build_case_tower(g: Graph, enc: PathEncoding | None = None,
         leaf_count += 1
         t = leaf_cache.get(viol)
         if t is None:
-            t = leaf_from_violation(viol, enc, root_hyp)
+            t = leaf_from_violation(viol, enc, table)
             leaf_cache[viol] = t
         return t
 
     def major(step: int) -> ProofTree:
         t = majors.get(step)
         if t is None:
-            t = elim_chain(root_hyp, conjunct_path(enc, "step_occupied", step - 1))
+            t = elim_chain(root_hyp, conjunct_path(enc, "step_occupied", step - 1), table)
             majors[step] = t
         return t
 
@@ -168,7 +177,7 @@ def build_case_tower(g: Graph, enc: PathEncoding | None = None,
             return leaf(viol)
         step = len(prefix) + 1
         cases = [rec(prefix + (v,)) for v in verts]
-        return or_elim(major(step), cases, tuple(x_var(step, v) for v in verts))
+        return table.share(or_elim(major(step), cases, tuple(x_var(step, v) for v in verts)))
 
     if n == 1:
         # the only candidate sequence is (1); a single-vertex graph always
@@ -178,13 +187,17 @@ def build_case_tower(g: Graph, enc: PathEncoding | None = None,
     return proof, leaf_count
 
 
-def unfold_nary(p: ProofTree) -> ProofTree:
+def unfold_nary(p: ProofTree, table: NodeTable | None = None) -> ProofTree:
     """Rewrite every n-ary case split into right-nested binary ones.
 
     The inner splits' majors are hypotheses for suffix chains, discharged
     by the step above; conclusions and the open assumption set are
-    preserved. Shared subproofs are transformed once.
+    preserved. Shared subproofs are transformed once, nodes left unchanged
+    are kept, and new nodes go through `table` (a fresh one when None).
     """
+    if table is None:
+        table = NodeTable()
+    share = table.share
     memo: dict[int, ProofTree] = {}
     for node in iter_nodes(p):
         prem = [memo[id(ch)] for ch in node.premises]
@@ -192,8 +205,8 @@ def unfold_nary(p: ProofTree) -> ProofTree:
             if all(a is b for a, b in zip(prem, node.premises)):
                 memo[id(node)] = node
             else:
-                memo[id(node)] = ProofTree(node.conclusion, node.rule, tuple(prem),
-                                           node.discharge)
+                memo[id(node)] = share(ProofTree(node.conclusion, node.rule, tuple(prem),
+                                                 node.discharge))
             continue
         major, *cases = prem
         ds = list(node.discharge)
@@ -206,8 +219,8 @@ def unfold_nary(p: ProofTree) -> ProofTree:
 
         acc = cases[-1]
         for m in range(k - 2, -1, -1):
-            maj_m = major if m == 0 else hyp(suffix(m))
-            acc = or_elim(maj_m, [cases[m], acc], (ds[m], suffix(m + 1)))
+            maj_m = major if m == 0 else share(hyp(suffix(m)))
+            acc = share(or_elim(maj_m, [cases[m], acc], (ds[m], suffix(m + 1))))
         memo[id(node)] = acc
     return memo[id(p)]
 
@@ -253,12 +266,13 @@ def build_refutation(g: Graph, mode: str = "auto",
     """
     used = check_builder_cap(g.n, mode, cap)
     enc = encode_graph(g)
-    tower, leaf_count = build_case_tower(g, enc, used)
+    table = NodeTable()
+    tower, leaf_count = build_case_tower(g, enc, used, table)
     heights: dict[int, int] = {}
     for node in iter_nodes(tower):
         heights[id(node)] = 1 + max((heights[id(q)] for q in node.premises), default=0)
     tower_height = heights[id(tower)]
-    unfolded = unfold_nary(tower)
+    unfolded = unfold_nary(tower, table)
     proof, metrics = finalize_negation(unfolded, enc)
     return BuildReport(
         proof=proof,

@@ -155,10 +155,11 @@ def subformulas(f: Formula, done: Container[Formula] | None = None) -> Iterator[
     Nothing in `done` is yielded or descended into. With `done=None` the
     walk keeps its own visited set. A memoizing caller passes its memo (any
     container of formulas) as `done` instead, and must record each yielded
-    formula in it before asking for the next one, or the walk never ends; it
-    then keeps no set of its own and makes about one membership test per
-    edge. The stack is explicit, so chains of any depth walk without
-    recursion.
+    formula in it before asking for the next one; the walk then keeps no set
+    of its own and makes about one membership test per edge. Asking for the
+    next formula before recording the last one raises ValueError, since the
+    walk would otherwise revisit it without end. The stack is explicit, so
+    chains of any depth walk without recursion.
     """
     own = done is None
     if own:
@@ -179,6 +180,8 @@ def subformulas(f: Formula, done: Container[Formula] | None = None) -> Iterator[
         if own:
             done.add(g)
         yield g
+        if g not in done:
+            raise ValueError("subformulas: a yielded formula was not recorded in `done`")
 
 
 def to_text(f: Formula, limit: int | None = None) -> str:
@@ -249,6 +252,8 @@ def formulas_to_table(roots: Iterable[Formula]) -> tuple[list[list], dict[Formul
     index: dict[Formula, int] = {}
     entries: list[list] = []
     for root in roots:
+        if root in index:
+            continue
         for f in subformulas(root, index):
             k = f.kind
             if k == BOT:

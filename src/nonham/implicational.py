@@ -51,6 +51,7 @@ from .prooftree import (
     IMP_INTRO,
     OR_ELIM,
     RULES,
+    NodeTable,
     ProofTree,
     hyp,
     imp_elim,
@@ -88,6 +89,9 @@ class Translation:
         """Implicational image of a formula; markers shared across calls and
         created in the order `subformulas` yields the formula's parts."""
         memo = self._star_memo
+        image = memo.get(f)
+        if image is not None:
+            return image
         for node in subformulas(f, memo):
             k = node.kind
             if k == VAR:
@@ -195,9 +199,12 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
 
     The result's conclusion is the folded goal over the used axioms; open
     assumptions are the images of the source's open assumptions (none, for
-    a closed source proof).
+    a closed source proof). Every node goes through one `NodeTable`, so
+    equal translated subproofs (axiom hypotheses, case wrappers, images of
+    equal source parts) are one object.
     """
     order = used_axioms(p, t)
+    share = NodeTable().share
 
     memo: dict[int, ProofTree] = {}
     for node in iter_nodes(p):
@@ -211,22 +218,23 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
             out = imp_elim(prem[0], prem[1])
         elif r == AND_ELIM_L:
             src = node.premises[0].conclusion
-            out = imp_elim(hyp(imp(t.star(src), t.star(src.left))), prem[0])
+            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.left)))), prem[0])
         elif r == AND_ELIM_R:
             src = node.premises[0].conclusion
-            out = imp_elim(hyp(imp(t.star(src), t.star(src.right))), prem[0])
+            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.right)))), prem[0])
         else:  # binary OrElimN
             major, c1, c2 = prem
             d1, d2 = node.discharge
             ax = t.case_axiom(node.premises[0].conclusion, t.star(node.conclusion))
-            w1 = imp_intro(c1, t.star(d1))
-            w2 = imp_intro(c2, t.star(d2))
-            out = imp_elim(imp_elim(imp_elim(hyp(ax), w1), w2), major)
-        memo[id(node)] = out
+            w1 = share(imp_intro(c1, t.star(d1)))
+            w2 = share(imp_intro(c2, t.star(d2)))
+            split = share(imp_elim(share(imp_elim(share(hyp(ax)), w1)), w2))
+            out = imp_elim(split, major)
+        memo[id(node)] = share(out)
 
     out = memo[id(p)]
     for ax in reversed(order):
-        out = imp_intro(out, ax)
+        out = share(imp_intro(out, ax))
     return out
 
 

@@ -19,7 +19,9 @@ size metrics plus the open assumption set. Builders construct proofs
 through the helper constructors below, which enforce the same shapes at
 construction time; the kernel never trusts them.
 
-Proofs share subtrees freely (the builders memoize aggressively), so every
+Proofs share subtrees freely: the builder and the translation pass every
+node they create through a `NodeTable`, which hash-conses nodes the way
+`formulas` hash-conses formulas, so equal subproofs are one object. Every
 walk here goes through `iter_nodes`, which visits each node object once.
 """
 
@@ -68,6 +70,29 @@ class ProofTree:
 
     def __repr__(self) -> str:
         return f"<{self.rule} : {to_text(self.conclusion, limit=60)}>"
+
+
+class NodeTable:
+    """Hash-consing for the proof nodes one construction creates.
+
+    `share` returns the first node it was given with the same rule,
+    conclusion, discharge and premise objects, so a construction that
+    passes every node through one table, bottom-up, keeps one object per
+    distinct subproof. Nodes are keyed by the ids of their premises; the
+    table holds every node it keeps and each node holds its premises, so
+    those ids stay valid while it lives. A table belongs to one call and
+    goes with it: a node built outside it, such as a copy mutated in
+    place, is never shared behind its owner's back.
+    """
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self):
+        self._nodes: dict[tuple, ProofTree] = {}
+
+    def share(self, node: ProofTree) -> ProofTree:
+        key = (node.rule, node.conclusion, node.discharge, *map(id, node.premises))
+        return self._nodes.setdefault(key, node)
 
 
 def hyp(f: Formula) -> ProofTree:

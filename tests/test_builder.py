@@ -1,9 +1,12 @@
 """Tests for the mechanical refutation builder."""
 
+from random import Random
+
 import pytest
 
+import nonham.bench
 import nonham.builder
-from nonham.bench import chain_graph
+from nonham.bench import chain_graph, empty_graph, rows_to_csv, run_bench
 from nonham.builder import (
     FAITHFUL_CAP,
     PRUNED_CAP,
@@ -14,6 +17,7 @@ from nonham.builder import (
     resolve_mode,
     unfold_nary,
 )
+from nonham.dagproof import compress_and_verify, dumps_dag
 from nonham.encoding import encode_graph
 from nonham.errors import (
     CapExceededError,
@@ -22,7 +26,18 @@ from nonham.errors import (
 )
 from nonham.formulas import bot, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, find_violation, is_hamiltonian
-from nonham.prooftree import check_tree, hyp, is_normal, iter_nodes, subformula_ok
+from nonham.implicational import translate_formula, translate_proof
+from nonham.prooftree import (
+    NodeTable,
+    ProofTree,
+    check_tree,
+    dumps_proof,
+    hyp,
+    is_normal,
+    iter_nodes,
+    loads_proof,
+    subformula_ok,
+)
 
 ALLOWED_RULES = {"Hyp", "ImpIntro", "ImpElim", "AndElimL", "AndElimR", "OrElimN"}
 
@@ -209,3 +224,67 @@ class TestBuildRefutation:
         assert report.mode == "pruned"
         assert report.metrics.open_assumptions == frozenset()
         assert is_normal(report.proof)
+
+
+def unshared(p):
+    """A copy of `p` with one object per occurrence."""
+    return ProofTree(p.conclusion, p.rule, tuple(unshared(q) for q in p.premises),
+                     p.discharge)
+
+
+def distinct_nodes(p) -> int:
+    return sum(1 for _ in iter_nodes(p))
+
+
+def refute_and_translate(g):
+    report = build_refutation(g)
+    return report, translate_proof(report.proof, translate_formula(report.proof.conclusion))
+
+
+SMALL_FAMILIES = [make(n) for make in (empty_graph, chain_graph) for n in range(2, 6)]
+N4_SAMPLE = Random(4).sample(
+    [g for g in enumerate_graphs(4) if is_hamiltonian(g) is None], 8)
+
+
+class TestSharing:
+    @pytest.mark.parametrize("g", SMALL_FAMILIES + N4_SAMPLE,
+                             ids=lambda g: f"n{g.n}-{g.graph_id}")
+    def test_built_and_translated_proofs_are_maximally_shared(self, g):
+        report, q = refute_and_translate(g)
+        for p in (report.proof, q):
+            keys = [(node.rule, node.conclusion, node.discharge, *map(id, node.premises))
+                    for node in iter_nodes(p)]
+            assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("g", SMALL_FAMILIES, ids=lambda g: f"n{g.n}-{g.graph_id}")
+    def test_sharing_changes_no_size_or_artifact(self, g, monkeypatch):
+        report, q = refute_and_translate(g)
+        copy_p, copy_q = unshared(report.proof), unshared(q)
+        assert distinct_nodes(copy_p) > distinct_nodes(report.proof)
+        assert check_tree(copy_p) == report.metrics
+        assert check_tree(copy_q) == check_tree(q)
+        dag = dumps_dag(compress_and_verify(q).cleansed)
+        assert dumps_dag(compress_and_verify(copy_q).cleansed) == dag
+
+        monkeypatch.setattr(NodeTable, "share", lambda self, node: node)
+        plain, plain_q = refute_and_translate(g)
+        assert distinct_nodes(plain.proof) > distinct_nodes(report.proof)
+        assert plain.summary() == report.summary()
+        assert check_tree(plain_q) == check_tree(q)
+        assert dumps_dag(compress_and_verify(plain_q).cleansed) == dag
+
+    def test_bench_csv_matches_unshared_copies(self, monkeypatch):
+        def run():
+            rows = run_bench("empty", range(2, 6)) + run_bench("chain", range(2, 6))
+            return rows_to_csv(rows, timing=False)
+
+        shared = run()
+        monkeypatch.setattr(nonham.bench, "translate_proof",
+                            lambda p, t: unshared(translate_proof(unshared(p), t)))
+        assert run() == shared
+
+    @pytest.mark.parametrize("g", [empty_graph(3), chain_graph(5)], ids=["empty3", "chain5"])
+    def test_reload_keeps_the_distinct_node_count(self, g):
+        report, q = refute_and_translate(g)
+        for p in (report.proof, q):
+            assert distinct_nodes(loads_proof(dumps_proof(p))) == distinct_nodes(p)

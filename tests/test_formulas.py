@@ -294,6 +294,13 @@ class TestQueries:
         assert walk == [B, X11, imp(B, X11), f]
         assert list(subformulas(f, {f})) == []
 
+    def test_unrecorded_done_raises_at_the_next_step(self):
+        f = imp(imp(A, B), conj(A, C))
+        walk = subformulas(f, set())
+        assert next(walk) is A
+        with pytest.raises(ValueError, match="not recorded"):
+            next(walk)
+
     def test_deep_chain_walks_without_recursion(self):
         f = A
         for _ in range(100_000):
