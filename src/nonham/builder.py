@@ -126,6 +126,58 @@ def leaf_from_violation(viol: Violation, enc: PathEncoding,
     return share(imp_elim(share(imp_elim(chain, share(hyp(first)))), share(hyp(second))))
 
 
+class _CaseTower:
+    """The state of one `build_case_tower` call.
+
+    Plain methods rather than closures that name themselves: a nested
+    recursive function holds its own closure cell, so every call would
+    leave a reference cycle (the function, the table and both caches) that
+    only the cyclic collector frees.
+    """
+
+    def __init__(self, g: Graph, enc: PathEncoding, faithful: bool, table: NodeTable):
+        self.g = g
+        self.enc = enc
+        self.faithful = faithful
+        self.table = table
+        self.root_hyp = table.share(hyp(enc.formula))
+        self.leaves: dict[Violation, ProofTree] = {}
+        # per step: the major premise of its case split and the discharges
+        self.steps: dict[int, tuple[ProofTree, tuple[Formula, ...]]] = {}
+        self.leaf_count = 0
+
+    def leaf(self, viol: Violation) -> ProofTree:
+        self.leaf_count += 1
+        t = self.leaves.get(viol)
+        if t is None:
+            t = self.leaves[viol] = leaf_from_violation(viol, self.enc, self.table)
+        return t
+
+    def split(self, step: int) -> tuple[ProofTree, tuple[Formula, ...]]:
+        split = self.steps.get(step)
+        if split is None:
+            major = elim_chain(self.root_hyp,
+                               conjunct_path(self.enc, "step_occupied", step - 1), self.table)
+            discharge = tuple(x_var(step, v) for v in range(1, self.g.n + 1))
+            split = self.steps[step] = (major, discharge)
+        return split
+
+    def tower(self, prefix: tuple[int, ...]) -> ProofTree:
+        g = self.g
+        if not self.faithful and len(prefix) >= 2:
+            viol = prefix_violation(prefix, g)
+            if viol is not None:
+                return self.leaf(viol)
+        if len(prefix) == g.n:
+            viol = find_violation(prefix, g)
+            if viol is None:
+                raise GraphIsHamiltonianError(prefix)
+            return self.leaf(viol)
+        cases = [self.tower(prefix + (v,)) for v in range(1, g.n + 1)]
+        major, discharge = self.split(len(prefix) + 1)
+        return self.table.share(or_elim(major, cases, discharge))
+
+
 def build_case_tower(g: Graph, enc: PathEncoding | None = None,
                      mode: str = "faithful",
                      table: NodeTable | None = None) -> tuple[ProofTree, int]:
@@ -134,57 +186,21 @@ def build_case_tower(g: Graph, enc: PathEncoding | None = None,
     The proof concludes `false`; its open assumptions are exactly the
     encoding. Raises GraphIsHamiltonianError (with the witness) on the
     first violation-free full sequence. Nodes go through `table` (a fresh
-    one when None).
+    one when None); each step's major premise and discharges are built
+    once.
     """
     if enc is None:
         enc = encode_graph(g)
     if table is None:
         table = NodeTable()
     faithful = resolve_mode(mode, g.n) == "faithful"
-    n = g.n
-    root_hyp = table.share(hyp(enc.formula))
-    verts = range(1, n + 1)
-
-    leaf_cache: dict[Violation, ProofTree] = {}
-    majors: dict[int, ProofTree] = {}
-    leaf_count = 0
-
-    def leaf(viol: Violation) -> ProofTree:
-        nonlocal leaf_count
-        leaf_count += 1
-        t = leaf_cache.get(viol)
-        if t is None:
-            t = leaf_from_violation(viol, enc, table)
-            leaf_cache[viol] = t
-        return t
-
-    def major(step: int) -> ProofTree:
-        t = majors.get(step)
-        if t is None:
-            t = elim_chain(root_hyp, conjunct_path(enc, "step_occupied", step - 1), table)
-            majors[step] = t
-        return t
-
-    def rec(prefix: tuple[int, ...]) -> ProofTree:
-        if not faithful and len(prefix) >= 2:
-            viol = prefix_violation(prefix, g)
-            if viol is not None:
-                return leaf(viol)
-        if len(prefix) == n:
-            viol = find_violation(prefix, g)
-            if viol is None:
-                raise GraphIsHamiltonianError(prefix)
-            return leaf(viol)
-        step = len(prefix) + 1
-        cases = [rec(prefix + (v,)) for v in verts]
-        return table.share(or_elim(major(step), cases, tuple(x_var(step, v) for v in verts)))
-
-    if n == 1:
+    if g.n == 1:
         # the only candidate sequence is (1); a single-vertex graph always
         # has a Hamiltonian path
         raise GraphIsHamiltonianError((1,))
-    proof = rec(())
-    return proof, leaf_count
+    state = _CaseTower(g, enc, faithful, table)
+    proof = state.tower(())
+    return proof, state.leaf_count
 
 
 def unfold_nary(p: ProofTree, table: NodeTable | None = None) -> ProofTree:

@@ -20,8 +20,12 @@ is transparent and S is rejected.
 
 All occurrences of one proof object at one level share formula, child
 classes and derivation, so compression and the coherence count work once
-per such (node, level) *site*, not per tree occurrence. An `OriginMap`
-records where every site landed and how many occurrences it stands for.
+per such (node, level) *site*, not per tree occurrence. Sites are numbered
+level by level, and within a level in order of first preorder occurrence,
+so a site's premise sites always come after it and every pass runs in
+index order: forward for anything pushed from parents to children,
+backward for anything gathered from children. An `OriginMap` records
+where every site landed and how many occurrences it stands for.
 
 `compress_and_verify` is the one copy of the whole sequence: compress,
 count incoherent separation nodes, cleanse, serialize, reload, and verify
@@ -57,7 +61,7 @@ REP = "R"
 DAG_RULES = (HYP, IMP_INTRO, IMP_ELIM, SEP, REP)
 
 
-@dataclass
+@dataclass(slots=True)
 class DagNode:
     formula: Formula
     rule: str
@@ -85,7 +89,8 @@ class DagProof:
 @dataclass
 class OriginMap:
     """Sites -> dag nodes. A site is one proof object at one level; sites
-    are indexed in preorder of their first occurrence (site 0 is the root).
+    are numbered level by level, and within a level in preorder of their
+    first occurrence (site 0 is the root), so `level_of` never decreases.
 
     `children_of` lists a site's premise sites in premise order, `mult`
     counts its tree occurrences, and `group_of` records which derivation
@@ -105,118 +110,135 @@ class OriginMap:
         return sum(self.mult)
 
 
-def _walk(p: ProofTree, sites: bool):
-    """Preorder walk of a tree proof: node, level and child ids per visit.
+def _levels(p: ProofTree, sites: bool):
+    """Level-synchronous walk of a tree proof: the node and child ids of
+    each id, and the first id of each level followed by the id count.
 
-    Without `sites` every occurrence is visited. With it, an object met
-    again at a level is not walked again: its first occurrence there came
-    earlier in preorder (it is no ancestor) with all its subtree, so sites
-    come out in the order of their first occurrences."""
-    nodes: list[ProofTree] = []
-    levels: list[int] = []
+    Level L+1 is numbered while level L is read in index order, each node's
+    premises in premise order, so ids run level by level and, within a
+    level, in order of first preorder occurrence. Without `sites` every
+    occurrence gets an id; with it, an object met again on the same level
+    keeps the id it got first. Every child id exceeds its parent's."""
+    nodes = [p]
     children: list[list[int]] = []
-    seen: list[dict[int, int]] = []  # per level: id(node) -> visit id
-    stack: list[tuple[ProofTree, int, int]] = [(p, 0, -1)]
-    while stack:
-        node, level, par = stack.pop()
-        if level == len(seen):
-            seen.append({})
-        idx = seen[level].get(id(node)) if sites else None
-        if idx is None:
-            idx = len(nodes)
-            if sites:
-                seen[level][id(node)] = idx
-            nodes.append(node)
-            levels.append(level)
-            children.append([])
-            for ch in reversed(node.premises):
-                stack.append((ch, level + 1, idx))
-        if par >= 0:
-            children[par].append(idx)
-    return nodes, levels, children
+    starts = [0]
+    lo = 0
+    while lo < len(nodes):
+        hi = len(nodes)
+        starts.append(hi)
+        seen: dict[int, int] = {}  # id(node) -> its id on the next level
+        for node in nodes[lo:hi]:
+            ids = []
+            for ch in node.premises:
+                idx = seen.get(id(ch)) if sites else None
+                if idx is None:
+                    idx = len(nodes)
+                    nodes.append(ch)
+                    if sites:
+                        seen[id(ch)] = idx
+                ids.append(idx)
+            children.append(ids)
+        lo = hi
+    return nodes, children, starts
 
 
 def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     """Merge same-level same-formula occurrences of an implicational tree,
-    working once per site (see the module docstring)."""
-    site_nodes, site_level, site_children = _walk(p, sites=True)
+    working once per site, level by level (see the module docstring)."""
+    site_nodes, site_children, starts = _levels(p, sites=True)
     total = len(site_nodes)
 
-    # merge classes keyed by (level, formula), in order of first occurrence
-    class_ids: dict[tuple[int, Formula], int] = {}
-    class_sites: list[list[int]] = []
+    # merge classes keyed by (level, formula); ids run level by level, in
+    # order of first site
+    site_level: list[int] = []
     site_class: list[int] = []
-    for s, node in enumerate(site_nodes):
-        if node.rule not in IMPLICATIONAL_RULES:
-            raise UnsupportedRuleError(
-                f"horizontal compression handles implicational proofs only, got {node.rule}"
-            )
-        cid = class_ids.setdefault((site_level[s], node.conclusion), len(class_sites))
-        if cid == len(class_sites):
-            class_sites.append([])
-        class_sites[cid].append(s)
-        site_class.append(cid)
+    class_first: list[int] = []
+    class_size: list[int] = []
+    class_starts: list[int] = []
+    for level in range(len(starts) - 1):
+        lo, hi = starts[level], starts[level + 1]
+        site_level += [level] * (hi - lo)
+        class_starts.append(len(class_first))
+        ids: dict[Formula, int] = {}
+        for s in range(lo, hi):
+            node = site_nodes[s]
+            if node.rule not in IMPLICATIONAL_RULES:
+                raise UnsupportedRuleError(
+                    f"horizontal compression handles implicational proofs only, got {node.rule}"
+                )
+            cid = ids.setdefault(node.conclusion, len(class_first))
+            if cid == len(class_first):
+                class_first.append(s)
+                class_size.append(1)
+            else:
+                class_size[cid] += 1
+            site_class.append(cid)
+    class_starts.append(len(class_first))
 
-    # occurrence counts, pushed from each level to the next
+    # occurrence counts, pushed down in index order (children follow parents)
     mult = [0] * total
     mult[0] = 1
-    for s in sorted(range(total), key=site_level.__getitem__):
+    for s in range(total):
+        m = mult[s]
         for c in site_children[s]:
-            mult[c] += mult[s]
+            mult[c] += m
     occurrences = sum(mult)
     tree_weight = sum(m * node.conclusion.weight for m, node in zip(mult, site_nodes))
 
-    # records: (sort key, formula, rule, level, is_rep, premise plan); a
-    # plan lists class ids, except a separation node's, which lists the
-    # record ids of its representatives. Levels ascend, representatives
-    # come just before their own level's plain nodes, ties go by first
-    # occurrence (site ids are in that order).
-    records: list[tuple] = []
-    class_record = [0] * len(class_sites)
-    group_of = [0] * total
-    for cid, sites in enumerate(class_sites):
-        first = sites[0]
-        level = site_level[first]
-        formula = site_nodes[first].conclusion
-        group_first = [first]
-        if len(sites) > 1:  # a lone site is group 0 of its class
-            groups: dict[tuple, int] = {}
-            for s in sites:
-                node = site_nodes[s]
-                sig = (node.rule, node.discharge, tuple([site_class[c] for c in site_children[s]]))
-                gi = group_of[s] = groups.setdefault(sig, len(groups))
-                if gi == len(group_first):
-                    group_first.append(s)
-        if len(group_first) == 1:
-            class_record[cid] = len(records)
-            records.append((2 * level * total + first, formula, site_nodes[first].rule,
-                            level, False, [site_class[c] for c in site_children[first]]))
-        else:
-            reps = []
-            for s in group_first:
-                reps.append(len(records))
-                records.append(((2 * level + 1) * total + s, formula, site_nodes[s].rule,
-                                level + 1, True, [site_class[c] for c in site_children[s]]))
-            class_record[cid] = len(records)
-            records.append((2 * level * total + first, formula, SEP, level, False, reps))
-
-    order = sorted(range(len(records)), key=lambda ri: records[ri][0])
-    position = [0] * len(records)
-    for pos, ri in enumerate(order):
-        position[ri] = pos
-    class_node = [position[ri] for ri in class_record]
-    if class_node[0] != 0:
-        raise AssertionError("root class must sort first")
-
+    # Nodes in final order, a level at a time: the level's classes, then the
+    # representatives of its separation nodes by first site of their group.
+    # A class's node sits at its id plus the representatives of the levels
+    # above it.
     nodes: list[DagNode] = []
-    for ri in order:
-        _, formula, rule, level, is_rep, plan = records[ri]
-        refs = position if rule == SEP else class_node
-        nodes.append(DagNode(formula, rule, tuple([refs[x] for x in plan]), level, is_rep))
+    node_of: list[int] = []
+    group_of = [0] * total
+    group_count = [0] * len(class_first)
+    offset = 0
+    for level in range(len(starts) - 1):
+        lo, hi = starts[level], starts[level + 1]
+        groups: dict[tuple, int] = {}
+        firsts: list[int] = []  # first sites of groups, in site order
+        for s in range(lo, hi):
+            cid = site_class[s]
+            if class_size[cid] > 1:  # a lone site is group 0 of its class
+                node = site_nodes[s]
+                key = (cid, node.rule, node.discharge,
+                       *[site_class[c] for c in site_children[s]])
+                gi = groups.get(key)
+                if gi is None:
+                    gi = groups[key] = group_count[cid]
+                    group_count[cid] += 1
+                    firsts.append(s)
+                group_of[s] = gi
+        reps = [s for s in firsts if group_count[site_class[s]] > 1]
+        below = offset + len(reps)  # offset of the next level's classes
+        node_of += [site_class[s] + offset for s in range(lo, hi)]
+
+        sep_premises: dict[int, list[int]] = {}
+        for cid in range(class_starts[level], class_starts[level + 1]):
+            node = site_nodes[class_first[cid]]
+            if group_count[cid] > 1:
+                sep_premises[cid] = []
+                nodes.append(DagNode(node.conclusion, SEP, (), level))
+            else:
+                nodes.append(DagNode(node.conclusion, node.rule,
+                                     tuple([site_class[c] + below
+                                            for c in site_children[class_first[cid]]]),
+                                     level))
+        for s in reps:
+            node = site_nodes[s]
+            sep_premises[site_class[s]].append(len(nodes))
+            nodes.append(DagNode(node.conclusion, node.rule,
+                                 tuple([site_class[c] + below for c in site_children[s]]),
+                                 level + 1, True))
+        for cid, premises in sep_premises.items():
+            nodes[cid + offset].premises = tuple(premises)
+        offset = below
+
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
-                   had_duplicates=len(class_sites) < occurrences)
-    origin = OriginMap(node_of=[class_node[cid] for cid in site_class], level_of=site_level,
-                       group_of=group_of, children_of=site_children, mult=mult)
+                   had_duplicates=len(class_first) < occurrences)
+    origin = OriginMap(node_of=node_of, level_of=site_level, group_of=group_of,
+                       children_of=site_children, mult=mult)
     return dag, origin
 
 
@@ -230,24 +252,38 @@ def coherence_failures(d: DagProof, om: OriginMap) -> list[int]:
     the returned ids signal compression-soundness failures and are never
     an implementation error. The scan runs over sites: some occurrence of
     a site is on a surviving path from the root when some parent site's
-    is, and a surviving path down depends on the site's subtree only.
+    is, and a surviving path down depends on the site's subtree only. Sites
+    follow their parents, so the up pass runs forward and the down pass
+    backward.
     """
     group_of = om.group_of
     children_of = om.children_of
+    node_of = om.node_of
     total = len(group_of)
-    order = sorted(range(total), key=om.level_of.__getitem__)
     up = [False] * total
     up[0] = True
-    for s in order:
-        up[s] = up[s] and group_of[s] == 0
+    for s in range(total):
         if up[s]:
-            for c in children_of[s]:
-                up[c] = True
+            if group_of[s]:
+                up[s] = False
+            else:
+                for c in children_of[s]:
+                    up[c] = True
     down = [False] * total
-    for s in reversed(order):
+    survivors = set()
+    for s in range(total - 1, -1, -1):
+        if group_of[s]:
+            continue
         ch = children_of[s]
-        down[s] = group_of[s] == 0 and (not ch or any(down[c] for c in ch))
-    survivors = {om.node_of[s] for s in range(total) if up[s] and down[s]}
+        reaches = not ch
+        for c in ch:
+            if down[c]:
+                reaches = True
+                break
+        if reaches:
+            down[s] = True
+            if up[s]:
+                survivors.add(node_of[s])
     return [i for i, node in enumerate(d.nodes)
             if node.rule == SEP and i not in survivors]
 
@@ -264,6 +300,9 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
     expected to have recorded `coherence_failures` first). The failure is
     an experimental outcome of the compression, not a malfunction, and the
     collapsed dag still exists either way; `verify_dag` is the arbiter.
+
+    Premise ids must follow their node, as in every dag `compress_horizontal`
+    builds and every serialized one; any other id raises IllFormedDagError.
     """
     if source is not None and d.nodes[d.root].formula is not source.conclusion:
         raise ValueError("origin map does not belong to this source proof")
@@ -274,36 +313,33 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
                 f"no source thread survives collapse at separation nodes {bad[:8]}"
                 + ("..." if len(bad) > 8 else "")
             )
-    replaced: list[DagNode] = []
-    for i, node in enumerate(d.nodes):
+    # premises follow their node, so one forward pass from the root marks
+    # every reachable node before it is read; remap holds -1 for a node not
+    # reached and then the node's new id
+    n = len(d.nodes)
+    remap = [-1] * n
+    remap[d.root] = 0
+    kept: list[DagNode] = []
+    for i in range(d.root, n):
+        if remap[i] < 0:
+            continue
+        node = d.nodes[i]
         if node.rule == SEP:
             if not node.premises:
                 raise NoCoherentChoiceError(f"separation node {i} has no premises")
             # group order is first-seen over preorder occurrences, so the
             # first premise is the leftmost-origin derivation
-            replaced.append(DagNode(node.formula, REP, node.premises[:1],
-                                    node.level, node.is_rep))
-        else:
-            replaced.append(node)
-
-    reachable = set()
-    stack = [d.root]
-    while stack:
-        i = stack.pop()
-        if i in reachable:
-            continue
-        reachable.add(i)
-        stack.extend(replaced[i].premises)
-
-    keep = sorted(reachable)
-    remap = {old: new for new, old in enumerate(keep)}
-    nodes = [
-        DagNode(replaced[i].formula, replaced[i].rule,
-                tuple(remap[q] for q in replaced[i].premises),
-                replaced[i].level, replaced[i].is_rep)
-        for i in keep
-    ]
-    return DagProof(nodes=nodes, root=remap[d.root],
+            node = DagNode(node.formula, REP, node.premises[:1], node.level, node.is_rep)
+        for q in node.premises:
+            if not i < q < n:
+                raise IllFormedDagError(i, "premises must come after the node")
+            remap[q] = 0
+        remap[i] = len(kept)
+        kept.append(node)
+    nodes = [DagNode(node.formula, node.rule, tuple([remap[q] for q in node.premises]),
+                     node.level, node.is_rep)
+             for node in kept]
+    return DagProof(nodes=nodes, root=0,
                     source_tree_weight=d.source_tree_weight,
                     had_duplicates=d.had_duplicates)
 
@@ -402,24 +438,16 @@ def dag_height(d: DagProof) -> int:
 
 def tree_to_dag(p: ProofTree) -> DagProof:
     """Embed a tree proof as a dag without merging (one node per occurrence)."""
-    occ_nodes, occ_level, occ_children = _walk(p, sites=False)
-    total = len(occ_nodes)
-    for node in occ_nodes:
-        if node.rule not in IMPLICATIONAL_RULES:
-            raise UnsupportedRuleError(f"implicational proofs only, got {node.rule}")
-    order = sorted(range(total), key=lambda oid: (occ_level[oid], oid))
-    position = {oid: pos for pos, oid in enumerate(order)}
-    nodes = [
-        DagNode(
-            occ_nodes[oid].conclusion,
-            occ_nodes[oid].rule,
-            tuple(position[c] for c in occ_children[oid]),
-            occ_level[oid],
-        )
-        for oid in order
-    ]
+    occ_nodes, occ_children, starts = _levels(p, sites=False)
+    nodes: list[DagNode] = []
+    for level in range(len(starts) - 1):
+        for oid in range(starts[level], starts[level + 1]):
+            node = occ_nodes[oid]
+            if node.rule not in IMPLICATIONAL_RULES:
+                raise UnsupportedRuleError(f"implicational proofs only, got {node.rule}")
+            nodes.append(DagNode(node.conclusion, node.rule, tuple(occ_children[oid]), level))
     weight = sum(n.formula.weight for n in nodes)
-    return DagProof(nodes=nodes, root=position[0], source_tree_weight=weight,
+    return DagProof(nodes=nodes, root=0, source_tree_weight=weight,
                     had_duplicates=False)
 
 

@@ -337,15 +337,17 @@ def balanced_conj(items: list[Formula]) -> Formula:
     """Balanced conjunction tree; elimination paths to any conjunct are O(log k)."""
     if not items:
         raise ValueError("empty conjunction")
-
-    def build(lo: int, hi: int) -> Formula:
-        if hi - lo == 1:
-            return items[lo]
-        mid = (lo + hi + 1) // 2
-        return conj(build(lo, mid), build(mid, hi))
-
     # recursion depth is log2(len), safe for any realistic size
-    return build(0, len(items))
+    return _balanced(items, 0, len(items))
+
+
+def _balanced(items: list[Formula], lo: int, hi: int) -> Formula:
+    # a module-level helper: a nested recursive function would hold its own
+    # closure cell, a reference cycle left behind by every call
+    if hi - lo == 1:
+        return items[lo]
+    mid = (lo + hi + 1) // 2
+    return conj(_balanced(items, lo, mid), _balanced(items, mid, hi))
 
 
 def balanced_path(count: int, index: int) -> list[str]:

@@ -167,6 +167,19 @@ class TestCompression:
         with pytest.raises(ValueError):
             cleanse(d, om, source=hyp(A))
 
+    def test_cleanse_rejects_a_premise_that_does_not_follow_its_node(self):
+        # cleanse's one forward reachability pass is sound only when every
+        # premise id follows its node
+        cycle = DagProof(nodes=[DagNode(A, "R", (1,), 0), DagNode(A, "R", (0,), 1)], root=0)
+        self_loop = DagProof(nodes=[DagNode(A, "R", (1,), 0), DagNode(A, "R", (1,), 1)],
+                             root=0)
+        past_the_end = DagProof(nodes=[DagNode(A, "R", (1,), 0), DagNode(A, "R", (2,), 1)],
+                                root=0)
+        for d in (cycle, self_loop, past_the_end):
+            with pytest.raises(IllFormedDagError) as err:
+                cleanse(d)
+            assert err.value.node_id == 1
+
     def test_origin_map_is_total_and_level_true(self):
         for p in (two_derivations_proof(), doubling_proof(4)):
             d, om = compress_horizontal(p)
@@ -628,6 +641,68 @@ class TestSiteCompression:
         assert len(om) == 2**62 - 2
         assert len(om.mult) < 4000
         assert d.source_tree_weight == check_tree(doubling_proof(60)).weight
+
+
+def preorder_occurrences(p):
+    """Every occurrence of `p`'s nodes in preorder, as (node, level,
+    children), children being occurrence ids: the order `reference_compress`
+    numbers its occurrences in."""
+    occurrences, stack = [], [(p, 0, -1)]
+    while stack:
+        node, level, par = stack.pop()
+        if par >= 0:
+            occurrences[par][2].append(len(occurrences))
+        occurrences.append((node, level, []))
+        for ch in reversed(node.premises):
+            stack.append((ch, level + 1, len(occurrences) - 1))
+    return occurrences
+
+
+def reference_tree_to_dag(p):
+    """One dag node per occurrence, ordered by (level, preorder occurrence)."""
+    occurrences = preorder_occurrences(p)
+    order = sorted(range(len(occurrences)), key=lambda oid: (occurrences[oid][1], oid))
+    position = {oid: pos for pos, oid in enumerate(order)}
+    nodes = [DagNode(occurrences[oid][0].conclusion, occurrences[oid][0].rule,
+                     tuple(position[c] for c in occurrences[oid][2]), occurrences[oid][1])
+             for oid in order]
+    return DagProof(nodes=nodes, root=position[0],
+                    source_tree_weight=sum(n.formula.weight for n in nodes),
+                    had_duplicates=False)
+
+
+class TestLevelOrder:
+    @given(st.one_of(shared_proofs(atoms=ATOMS[:2]), implicational_proofs()))
+    @settings(max_examples=200)
+    def test_sites_run_by_level_then_first_occurrence(self, p):
+        _, om = compress_horizontal(p)
+        _, (node_of, _, group_of) = reference_compress(p)
+        occurrences = preorder_occurrences(p)
+        first: dict[tuple[int, int], int] = {}  # (id(node), level) -> first occurrence
+        count: dict[tuple[int, int], int] = {}
+        for oid, (node, level, _) in enumerate(occurrences):
+            key = (id(node), level)
+            first.setdefault(key, oid)
+            count[key] = count.get(key, 0) + 1
+        expected = sorted(first, key=lambda key: (key[1], first[key]))
+        site = {key: s for s, key in enumerate(expected)}
+        assert om.level_of == [level for _, level in expected]
+        assert all(a <= b for a, b in zip(om.level_of, om.level_of[1:]))
+        for s, key in enumerate(expected):
+            oid = first[key]
+            assert om.mult[s] == count[key]
+            assert om.node_of[s] == node_of[oid]
+            assert om.group_of[s] == group_of[oid]
+            assert om.children_of[s] == [site[(id(occurrences[c][0]), key[1] + 1)]
+                                         for c in occurrences[oid][2]]
+
+    @given(st.one_of(implicational_proofs(), shared_proofs(atoms=ATOMS[:2])))
+    @settings(max_examples=100)
+    def test_tree_to_dag_orders_by_level_then_preorder(self, p):
+        d, ref = tree_to_dag(p), reference_tree_to_dag(p)
+        assert dumps_dag(d) == dumps_dag(ref)
+        assert [n.level for n in d.nodes] == [n.level for n in ref.nodes]
+        assert (d.root, d.source_tree_weight) == (ref.root, ref.source_tree_weight)
 
 
 def word_passing_proof():
