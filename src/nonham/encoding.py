@@ -36,7 +36,14 @@ from .formulas import (
     x_var,
 )
 from .graphs import Graph, ordered_pairs
-from .kernels import Program, compile_program, eval_batch_numpy, step_vertex_block
+from .kernels import (
+    Program,
+    compile_program,
+    eval_batch_numpy,
+    eval_words,
+    pack_columns,
+    unpack_rows,
+)
 
 PART_TAGS = ("coverage", "repeat_ban", "step_occupied", "step_unique", "edge_ban")
 
@@ -47,6 +54,9 @@ SAT_CAP = 7
 ENCODE_CAP = 27
 
 _CHUNK = 1 << 14
+# rows per block of the SAT scan: a block is the n^k rows that share their
+# leading n-k steps, with k as large as this budget allows
+_BLOCK = 1 << 17
 
 
 @dataclass
@@ -157,6 +167,72 @@ def _holds(prog: Program, seqs: np.ndarray) -> np.ndarray:
     return eval_batch_numpy(prog, assigns.T)
 
 
+_low_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _block_steps(n: int) -> int:
+    """k, the number of low steps a block varies: largest with n^k <= _BLOCK, at most n."""
+    k = 0
+    while k < n and n ** (k + 1) <= _BLOCK:
+        k += 1
+    return k
+
+
+def _low_columns(n: int, k: int) -> np.ndarray:
+    """Packed columns of X_{n-k+j+1, v} over one block's n^k rows, row j*n + v - 1.
+
+    A block's offset o spells steps n-k+1..n in base n, most significant
+    first, so these columns are the same for every block and every graph.
+    """
+    cached = _low_cache.get((n, k))
+    if cached is None:
+        cached = np.empty((k * n, -(-(n**k) // 64)), dtype=np.uint64)
+        for j in range(k):
+            digit = np.repeat(np.arange(n), n ** (k - 1 - j))
+            for v in range(n):
+                # one column at a time: the bool rows of all k*n would take 64x the words
+                cached[j * n + v] = pack_columns(np.tile(digit == v, n**j)[None])[0]
+        _low_cache[(n, k)] = cached
+    return cached
+
+
+def _prefix(n: int, k: int, block: int) -> list[int]:
+    """Vertices of steps 1..n-k in every row of a block: the base-n digits
+    of `block`, step 1 most significant."""
+    lead = n - k
+    return [block // n ** (lead - step) % n + 1 for step in range(1, lead + 1)]
+
+
+def _block_columns(prog: Program, n: int, k: int, block: int) -> np.ndarray:
+    """prog's packed columns over rows block*n^k .. (block+1)*n^k - 1.
+
+    Steps 1..n-k do not change inside the block, so their columns are
+    constant words: all ones up to the block's last row, or zeros.
+    """
+    low = _low_columns(n, k)
+    rows = n**k
+    ones = np.full(low.shape[1], np.uint64(0xFFFF_FFFF_FFFF_FFFF))
+    if rows % 64:
+        ones[-1] = np.uint64((1 << rows % 64) - 1)
+    prefix = _prefix(n, k, block)
+    cols = np.zeros((len(prog.var_slots), low.shape[1]), dtype=np.uint64)
+    for slot, name in enumerate(prog.var_slots):
+        if name.step > len(prefix):
+            cols[slot] = low[(name.step - len(prefix) - 1) * n + name.vertex - 1]
+        elif prefix[name.step - 1] == name.vertex:
+            cols[slot] = ones
+    return cols
+
+
+def _block_rows(n: int, k: int, block: int, offsets: np.ndarray) -> np.ndarray:
+    """Step-major (n, len(offsets)) vertex sequences of rows block*n^k + offsets."""
+    seqs = np.empty((n, offsets.shape[0]), dtype=np.int64)
+    seqs[: n - k] = np.asarray(_prefix(n, k, block), dtype=np.int64)[:, None]
+    for step in range(n - k + 1, n + 1):
+        seqs[step - 1] = offsets // n ** (n - step) % n + 1
+    return seqs
+
+
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     """Brute-force satisfiability of the encoding of g.
 
@@ -164,10 +240,16 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     step_occupied and step_unique force any satisfying assignment to be
     functional, so the restriction loses nothing. The formula is the
     conjunction of its present parts, so a row satisfies it exactly when it
-    satisfies every part. The scan runs the first part (coverage, true only
-    on the n! permutations) over the n^n rows in chunks, buffers the rows it
-    keeps, and narrows the buffer part by part whenever it fills or the
-    scan ends.
+    satisfies every part.
+
+    The n^n rows are scanned in base-n order, in blocks of n^k consecutive
+    rows (k set by `_BLOCK`). Inside a block steps 1..n-k are fixed, so
+    their columns are constant words; the columns of the low k steps are
+    the same for every block and are packed once per (n, k) and cached.
+    The first part (coverage, true only on the n! permutations) is
+    evaluated on each block 64 rows per word; each hit is decoded from its
+    block and offset into a vertex sequence and buffered, and the buffer is
+    narrowed part by part whenever it fills or the scan ends.
     """
     check_sat_cap(g.n, cap)
     enc = encode_graph(g)
@@ -184,17 +266,17 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
         return rows.shape[1] > 0
 
     n = g.n
-    total = n**n
+    k = _block_steps(n)
+    blocks = n ** (n - k)
     held: list[np.ndarray] = []
     count = 0
-    for lo in range(0, total, _CHUNK):
-        hi = min(total, lo + _CHUNK)
-        seqs = step_vertex_block(n, lo, hi).T
-        kept = seqs[:, _holds(first, seqs)]
-        if kept.shape[1]:
-            held.append(kept)
-            count += kept.shape[1]
-        if count and (count >= _CHUNK or hi == total):
+    for block in range(blocks):
+        root = eval_words(first, _block_columns(first, n, k, block))
+        offsets = np.flatnonzero(unpack_rows(root, n**k))
+        if offsets.shape[0]:
+            held.append(_block_rows(n, k, block, offsets))
+            count += offsets.shape[0]
+        if count and (count >= _CHUNK or block == blocks - 1):
             if narrow(np.concatenate(held, axis=1)):
                 return True
             held, count = [], 0

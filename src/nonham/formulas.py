@@ -118,8 +118,14 @@ def var(name: VarName) -> Formula:
     return _mk(VAR, name, None, None)
 
 
+_x_vars: dict[tuple[int, int], Formula] = {}
+
+
 def x_var(step: int, vertex: int) -> Formula:
-    return var(XVar(step, vertex))
+    f = _x_vars.get((step, vertex))
+    if f is None:
+        f = _x_vars[(step, vertex)] = var(XVar(step, vertex))
+    return f
 
 
 def q_var(key) -> Formula:

@@ -1,4 +1,4 @@
-"""Directed graphs, the text format, and the brute-force path oracles.
+"""Directed graphs, the text format, and the backtracking path oracle.
 
 Vertices are 1..n. Edges are ordered pairs without self-loops. The text
 format is a header line ``n m`` followed by m lines ``u v``; blank lines
@@ -7,7 +7,6 @@ and ``#`` comments are allowed anywhere.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from random import Random
@@ -171,11 +170,33 @@ def prefix_violation(prefix: Sequence[int], g: Graph) -> Violation | None:
 
 
 def is_hamiltonian(g: Graph) -> tuple[int, ...] | None:
-    """First Hamiltonian path in lexicographic order, or None."""
-    verts = range(1, g.n + 1)
-    for perm in itertools.permutations(verts):
-        if all((perm[i], perm[i + 1]) in g.edges for i in range(g.n - 1)):
-            return perm
+    """First Hamiltonian path in lexicographic order, or None.
+
+    Depth-first search with an explicit stack: start vertices and
+    successors are tried in ascending order, so the first full path found
+    is the lexicographically least, and a prefix that cannot be extended
+    is abandoned with every permutation that starts with it.
+    """
+    n = g.n
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in sorted(g.edges):
+        succ[u].append(v)
+    used = [False] * (n + 1)
+    path: list[int] = []
+    stack = [iter(range(1, n + 1))]
+    while stack:
+        for v in stack[-1]:
+            if not used[v]:
+                used[v] = True
+                path.append(v)
+                if len(path) == n:
+                    return tuple(path)
+                stack.append(iter(succ[v]))
+                break
+        else:
+            stack.pop()
+            if path:
+                used[path.pop()] = False
     return None
 
 

@@ -1,10 +1,14 @@
-"""Batch truth-evaluation kernel.
+"""Word-parallel truth-evaluation kernel.
 
 A formula is compiled once, in the postorder `subformulas` yields, into
-flat arrays (kind, arg0, arg1) plus a variable-slot table, then evaluated
-over a whole matrix of assignments at once by numpy, vectorized over the
-assignment axis with one pass over the nodes. The kernel is differentially
-tested against the scalar evaluator.
+flat arrays (kind, arg0, arg1) plus a variable-slot table. `eval_words`
+evaluates it bit-sliced: each variable's column over a batch of
+assignments is packed 64 assignments per uint64 word, so every node of the
+program is one word-wise operation (falsum is 0, AND is ``&``, OR is ``|``,
+implication is ``~x | y``) that decides 64 rows, in one pass over the
+nodes. `pack_columns` and `unpack_rows` convert between bool rows and
+words; `eval_batch_numpy` is the bool-matrix adapter over the same kernel.
+The kernel is differentially tested against the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -69,56 +73,53 @@ def compile_program(f: Formula) -> Program:
     return prog
 
 
-def eval_batch_numpy(prog: Program, assigns: np.ndarray) -> np.ndarray:
-    """Evaluate over a (batch, nvars) bool matrix; returns a (batch,) bool vector.
+def pack_columns(bits: np.ndarray) -> np.ndarray:
+    """Pack a (columns, rows) bool matrix into (columns, ceil(rows / 64)) words.
 
-    Each variable reads one column of the matrix, so a matrix whose columns
-    are contiguous (the transpose of a step-major (nvars, batch) array) is
-    evaluated without a copy.
+    Row r is bit r % 64 of word r // 64; bits past the last row are zero.
     """
+    b = np.asarray(bits, dtype=bool)
+    words = -(-b.shape[1] // 64)
+    out = np.zeros((b.shape[0], 8 * words), dtype=np.uint8)
+    out[:, : -(-b.shape[1] // 8)] = np.packbits(b, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def unpack_rows(words: np.ndarray, rows: int) -> np.ndarray:
+    """The first `rows` bits of a word vector as a bool vector; later bits are ignored."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little").view(bool)
+
+
+def eval_words(prog: Program, cols: np.ndarray) -> np.ndarray:
+    """Evaluate over (nvars, words) packed columns; returns the root's (words,) vector.
+
+    Bits past the caller's row count come out as the program's value on
+    whatever those bits hold, so read the result with `unpack_rows`.
+    """
+    c = np.asarray(cols, dtype=np.uint64)
+    if c.ndim != 2 or c.shape[0] != len(prog.var_slots):
+        raise ValueError(f"word columns must be ({len(prog.var_slots)}, words)")
+    zero = np.zeros(c.shape[1], dtype=np.uint64)
+    vals: list[np.ndarray] = []
+    for k, x, y in zip(prog.kinds.tolist(), prog.arg0.tolist(), prog.arg1.tolist()):
+        if k == VAR:
+            vals.append(c[x])
+        elif k == AND:
+            vals.append(vals[x] & vals[y])
+        elif k == OR:
+            vals.append(vals[x] | vals[y])
+        elif k == BOT:
+            vals.append(zero)
+        else:
+            # implication: left -> right  ==  ~left | right
+            vals.append(~vals[x] | vals[y])
+    return np.array(vals[-1])
+
+
+def eval_batch_numpy(prog: Program, assigns: np.ndarray) -> np.ndarray:
+    """Evaluate over a (batch, nvars) bool matrix; returns a (batch,) bool vector."""
     a = np.asarray(assigns, dtype=bool)
     if a.ndim != 2 or a.shape[1] != len(prog.var_slots):
         raise ValueError(f"assignment matrix must be (batch, {len(prog.var_slots)})")
-    vals = np.empty((prog.node_count, a.shape[0]), dtype=bool)
-    nodes = zip(prog.kinds.tolist(), prog.arg0.tolist(), prog.arg1.tolist())
-    for i, (k, x, y) in enumerate(nodes):
-        if k == BOT:
-            vals[i] = False
-        elif k == VAR:
-            vals[i] = a[:, x]
-        elif k == AND:
-            np.logical_and(vals[x], vals[y], out=vals[i])
-        elif k == OR:
-            np.logical_or(vals[x], vals[y], out=vals[i])
-        else:
-            # implication: left -> right  ==  right >= left on booleans
-            np.greater_equal(vals[y], vals[x], out=vals[i])
-    return vals[-1].copy()
-
-
-def step_vertex_block(n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the n^n table of vertex sequences.
-
-    Row r is the base-n expansion of r (step 1 most significant), shifted to
-    vertices 1..n; column j holds the vertex visited at step j+1. Columns
-    are contiguous, so the transpose is a step-major (n, rows) array.
-    """
-    idx = np.arange(lo, hi, dtype=np.int64)
-    quot = np.empty_like(idx)
-    out = np.empty((hi - lo, n), dtype=np.int64, order="F")
-    for pos in range(n - 1, -1, -1):
-        # one division per digit: idx % n == idx - n * (idx // n)
-        np.floor_divide(idx, n, out=quot)
-        np.subtract(idx, quot * n, out=out[:, pos])
-        out[:, pos] += 1
-        idx, quot = quot, idx
-    return out
-
-
-def bit_block(nvars: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the 2^nvars truth table (variable 0 most significant)."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, nvars), dtype=bool)
-    for pos in range(nvars):
-        out[:, pos] = (idx >> (nvars - 1 - pos)) & 1
-    return out
+    return unpack_rows(eval_words(prog, pack_columns(a.T)), a.shape[0])

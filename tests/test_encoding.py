@@ -19,7 +19,8 @@ from nonham.encoding import (
 from nonham.errors import CapExceededError
 from nonham.formulas import AND, XVar, bot, conj, disj, eval_formula, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
-from nonham.kernels import bit_block, compile_program, eval_batch_numpy, step_vertex_block
+from nonham.kernels import compile_program, eval_batch_numpy, pack_columns
+from references import bit_block, step_vertex_block
 
 
 def descend(f, path):
@@ -176,14 +177,18 @@ class TestSatisfiability:
             parts = [enc.parts[tag] for tag in enc.present]
             assert reduce(conj, parts) is enc.formula
 
-    @pytest.mark.parametrize("n, chunk, seeds", [
-        (5, 7, range(8)), (5, 1000, range(8)), (6, 101, range(4))])
+    @pytest.mark.parametrize("n, chunk, block, seeds", [
+        (5, 7, 25, range(8)), (5, 1000, 125, range(8)), (6, 101, 216, range(4)),
+        (5, 7, encoding._BLOCK, range(8))])
     def test_part_scan_matches_whole_formula_over_functional_rows(
-            self, monkeypatch, n, chunk, seeds):
+            self, monkeypatch, n, chunk, block, seeds):
         # chunks of 7 and 101 rows fill the buffer many times before the
         # flush at the end of the scan; 1000 rows hold all 120 permutations
-        # of n=5, so only the flush at the end runs
+        # of n=5, so only the flush at the end runs. Blocks of 25, 125 and
+        # 216 rows fix 3, 2 and 3 leading steps, and none is a whole number
+        # of 64-row words; the default budget scans n=5 as one block.
         monkeypatch.setattr(encoding, "_CHUNK", chunk)
+        monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         verdicts = set()
         for seed in seeds:
@@ -195,6 +200,37 @@ class TestSatisfiability:
             want = bool(eval_batch_numpy(prog, rows).any())
             assert satisfiable(g) == want
             assert want == (is_hamiltonian(g) is not None)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n, budget", [
+        (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])
+    def test_block_columns_are_the_packed_rows_of_the_block(self, monkeypatch, n, budget):
+        # every X column of every block, tail bits included, and every row
+        # decoded from a block offset, against the base-n row table
+        monkeypatch.setattr(encoding, "_BLOCK", budget)
+        k = encoding._block_steps(n)
+        assert n**k <= budget and (k == n or n ** (k + 1) > budget)
+        prog = compile_program(encode_graph(Graph(n, frozenset())).parts["coverage"])
+        assert len(prog.var_slots) == n * n
+        size = n**k
+        for block in range(n ** (n - k)):
+            rows = step_vertex_block(n, block * size, (block + 1) * size)
+            bits = np.array([rows[:, name.step - 1] == name.vertex for name in prog.var_slots])
+            assert np.array_equal(encoding._block_columns(prog, n, k, block), pack_columns(bits))
+            offsets = np.arange(size)
+            assert np.array_equal(encoding._block_rows(n, k, block, offsets), rows.T)
+
+    def test_n7_scan_crosses_blocks_and_matches_path_search(self):
+        # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1
+        # held constant in each
+        assert encoding._block_steps(7) == 6
+        rng = Random(7)
+        verdicts = set()
+        for p in (0.2, 0.3, 0.3, 0.5):
+            g = random_graph(rng, 7, edge_prob=p)
+            want = is_hamiltonian(g) is not None
+            assert satisfiable(g) == want
             verdicts.add(want)
         assert verdicts == {True, False}
 

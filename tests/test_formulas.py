@@ -87,6 +87,19 @@ class TestVariables:
         with pytest.raises(ValueError):
             XVar(1, -2)
 
+    def test_x_var_is_the_interned_variable(self):
+        for i, v in [(1, 1), (3, 7), (12, 2)]:
+            assert x_var(i, v) is var(XVar(i, v))
+            assert x_var(i, v) is x_var(i, v)
+
+    def test_x_var_bad_index_raises_on_every_call(self):
+        # only successful calls are cached, so a repeated bad call raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                x_var(0, 1)
+            with pytest.raises(ValueError):
+                x_var(1, -2)
+
     def test_qvar_key_charset(self):
         with pytest.raises(ValueError):
             QVar("no spaces")

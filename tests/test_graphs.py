@@ -19,14 +19,7 @@ from nonham.graphs import (
     prefix_violation,
     random_graph,
 )
-
-
-def brute_force_path(g: Graph):
-    """Reference oracle: try every permutation of the vertices."""
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        if all((perm[i], perm[i + 1]) in g.edges for i in range(g.n - 1)):
-            return perm
-    return None
+from references import brute_force_path
 
 
 class TestParsing:
@@ -135,15 +128,30 @@ class TestHamiltonianOracle:
         assert is_hamiltonian(Graph(1, frozenset())) == (1,)
 
     def test_agrees_with_permutation_oracle_exhaustively(self):
-        for g in enumerate_graphs(3):
+        # the same witness, not just the same verdict: `nonham oracle`
+        # prints it
+        for n in (1, 2, 3, 4):
+            for g in enumerate_graphs(n):
+                witness = is_hamiltonian(g)
+                assert witness == brute_force_path(g)
+                if witness is not None:
+                    # any returned witness must actually be a spanning path
+                    assert sorted(witness) == list(range(1, n + 1))
+                    assert all((witness[i], witness[i + 1]) in g.edges
+                               for i in range(n - 1))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.8])
+    def test_same_witness_as_permutation_oracle_on_random_graphs(self, n, p):
+        rng = Random(1000 * n + int(100 * p))
+        verdicts = set()
+        for _ in range(12):
+            g = random_graph(rng, n, edge_prob=p)
             witness = is_hamiltonian(g)
-            reference = brute_force_path(g)
-            assert (witness is None) == (reference is None)
-            if witness is not None:
-                # any returned witness must actually be a spanning path
-                assert sorted(witness) == [1, 2, 3]
-                assert all((witness[i], witness[i + 1]) in g.edges
-                           for i in range(2))
+            assert witness == brute_force_path(g)
+            verdicts.add(witness is None)
+        if p == 0.3:
+            assert verdicts == {True, False}
 
 
 class TestViolations:

@@ -28,7 +28,8 @@ from nonham.implicational import (
     translation_to_json,
     used_axioms,
 )
-from nonham.kernels import bit_block, compile_program, eval_batch_numpy
+from nonham.kernels import compile_program, eval_batch_numpy
+from references import bit_block
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,

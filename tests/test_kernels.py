@@ -1,4 +1,4 @@
-"""Tests for the flat evaluation kernel and the assignment blocks."""
+"""Tests for the word-parallel evaluation kernel and the reference assignment tables."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from nonham.formulas import (
     x_var,
 )
 from nonham.kernels import (
-    bit_block,
     compile_program,
     eval_batch_numpy,
-    step_vertex_block,
+    eval_words,
+    pack_columns,
+    unpack_rows,
 )
+from references import bit_block, step_vertex_block
 
 ATOMS = [q_var(name) for name in "abcdef"]
 
@@ -98,6 +100,63 @@ class TestNumpyEval:
         rows = np.array([[1, 0], [0, 0]])
         got = eval_batch_numpy(prog, rows)
         assert got.tolist() == [False, True]
+
+
+class TestWordEval:
+    @given(small_formulas(), st.data())
+    @settings(max_examples=60)
+    def test_agrees_with_scalar_evaluator(self, f, data):
+        # a prefix of the truth table, so most row counts are not a
+        # multiple of 64
+        prog = compile_program(f)
+        table = full_table(prog)
+        rows = data.draw(st.integers(0, len(table)))
+        got = unpack_rows(eval_words(prog, pack_columns(table[:rows].T)), rows)
+        assert got.shape == (rows,)
+        for row, value in zip(table[:rows], got):
+            env = dict(zip(prog.var_slots, (bool(b) for b in row)))
+            assert eval_formula(f, env) == bool(value)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 256])
+    def test_agrees_with_scalar_evaluator_over_words(self, rows):
+        names = [q_var(f"w{i}") for i in range(8)]
+        f = imp(conj(disj(names[0], names[7]), imp(names[3], names[5])),
+                disj(conj(names[1], names[2]), imp(names[4], names[6])))
+        prog = compile_program(f)
+        table = full_table(prog)[:rows]
+        got = unpack_rows(eval_words(prog, pack_columns(table.T)), rows)
+        want = [eval_formula(f, dict(zip(prog.var_slots, map(bool, row)))) for row in table]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("rows", [1, 5, 63, 65, 130])
+    def test_true_on_all_false_row_reports_no_row_past_the_count(self, rows):
+        prog = compile_program(imp(q_var("a"), bot()))
+        zeros = np.zeros((rows, 1), dtype=bool)
+        words = eval_words(prog, pack_columns(zeros.T))
+        # the padding bits hold the all-false row too, so the raw words are
+        # all ones; only the first `rows` bits are rows
+        assert words.shape == (-(-rows // 64),)
+        assert (words == np.uint64(2**64 - 1)).all()
+        got = unpack_rows(words, rows)
+        assert got.shape == (rows,) and got.all()
+        assert np.flatnonzero(eval_batch_numpy(prog, zeros)).tolist() == list(range(rows))
+
+    def test_pack_columns_layout_and_zero_tail(self):
+        bits = np.zeros((2, 70), dtype=bool)
+        bits[0] = True
+        bits[1, [0, 3, 64, 69]] = True
+        words = pack_columns(bits)
+        assert words.shape == (2, 2)
+        assert words[0].tolist() == [2**64 - 1, 2**6 - 1]
+        assert words[1].tolist() == [0b1001, 0b100001]
+        assert np.array_equal(unpack_rows(words[1], 70), bits[1])
+
+    def test_rejects_wrong_shapes(self):
+        prog = compile_program(conj(q_var("a"), q_var("b")))
+        with pytest.raises(ValueError):
+            eval_words(prog, np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            eval_words(prog, np.zeros((3, 4), dtype=np.uint64))
 
 
 class TestAssignmentBlocks:
