@@ -38,6 +38,7 @@ from .formulas import (
 from .graphs import Graph, ordered_pairs
 from .kernels import (
     Program,
+    build_program,
     compile_program,
     eval_batch_numpy,
     eval_words,
@@ -246,14 +247,18 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     rows (k set by `_BLOCK`). Inside a block steps 1..n-k are fixed, so
     their columns are constant words; the columns of the low k steps are
     the same for every block and are packed once per (n, k) and cached.
-    The first part (coverage, true only on the n! permutations) is
-    evaluated on each block 64 rows per word; each hit is decoded from its
-    block and offset into a vertex sequence and buffered, and the buffer is
-    narrowed part by part whenever it fills or the scan ends.
+    The parts that depend on n alone are compiled once per process
+    (`compile_program`); edge_ban, the one part that depends on the edges,
+    is compiled for this call only, so scanning many graphs caches nothing
+    per graph. The first part (coverage, true only on the n! permutations)
+    is evaluated on each block 64 rows per word; each hit is decoded from
+    its block and offset into a vertex sequence and buffered, and the
+    buffer is narrowed part by part whenever it fills or the scan ends.
     """
     check_sat_cap(g.n, cap)
     enc = encode_graph(g)
-    progs = [compile_program(enc.parts[tag]) for tag in enc.present]
+    progs = [build_program(enc.parts[tag]) if tag == "edge_ban"
+             else compile_program(enc.parts[tag]) for tag in enc.present]
     for prog in progs:
         for name in prog.var_slots:
             if not isinstance(name, XVar):

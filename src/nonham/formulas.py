@@ -4,10 +4,12 @@ Formulas over falsum, variables, conjunction, disjunction and implication.
 Construction goes through the module factories (`bot`, `var`, `conj`,
 `disj`, `imp`), which intern every formula in a process-global table:
 structurally equal formulas are always the *same object*, so equality and
-hashing are identity operations and never walk the term. The table grows
-monotonically for the lifetime of the process, which keeps `id()`-based
-keys stable. Construction is not thread-safe; build formulas on one thread,
-read them from anywhere.
+hashing are identity operations and never walk the term. A compound
+formula is keyed by its kind and its two parts themselves, which hash by
+identity, so a lookup allocates nothing beyond its key tuple. The table
+keeps every formula it interns for the lifetime of the process, so a pass
+should intern only what its outputs name. Construction is not thread-safe;
+build formulas on one thread, read them from anywhere.
 
 Proof objects downstream get large (antecedent chains nest thousands deep),
 so no walk here recurses. `subformulas` is the package's one walk over a
@@ -95,7 +97,7 @@ def _mk(kind: int, var, left, right) -> Formula:
     elif kind == BOT:
         key = (BOT,)
     else:
-        key = (kind, id(left), id(right))
+        key = (kind, left, right)
     f = _interned.get(key)
     if f is None:
         f = Formula.__new__(Formula)

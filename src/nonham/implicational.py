@@ -137,23 +137,24 @@ class Translation:
     def is_axiom(self, f: Formula) -> bool:
         return f in self._axiom_set
 
-    def rho_star(self, axioms: list[Formula] | None = None) -> Formula:
-        """The translated goal with axiom antecedents folded in front."""
+    def folded_weight(self, axioms: list[Formula] | None = None) -> int:
+        """Weight of the translated goal with the axioms (all of them by
+        default) folded in front as antecedents, without building the fold:
+        each `imp(ax, out)` adds `ax.weight + 1`."""
         if self.star_root is None:
             raise ValueError("translation not initialized")
-        out = self.star_root
-        for ax in reversed(self.axioms if axioms is None else list(axioms)):
-            out = imp(ax, out)
-        return out
+        folded = self.axioms if axioms is None else axioms
+        return self.star_root.weight + sum(ax.weight + 1 for ax in folded)
 
 
 def translate_formula(gamma: Formula) -> Translation:
     """Translate a formula; markers and eager axioms are assigned in the
     postorder of `subformulas`. The folded goal stays within the cube of the
-    source weight."""
+    source weight; its weight is checked without interning the fold, which
+    no output names."""
     t = Translation(source=gamma)
     t.star_root = t.star(gamma)
-    assert weight(t.rho_star()) <= weight(gamma) ** 3, "translation outgrew its cubic bound"
+    assert t.folded_weight() <= weight(gamma) ** 3, "translation outgrew its cubic bound"
     return t
 
 

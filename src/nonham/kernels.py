@@ -1,14 +1,16 @@
 """Word-parallel truth-evaluation kernel.
 
-A formula is compiled once, in the postorder `subformulas` yields, into
-flat arrays (kind, arg0, arg1) plus a variable-slot table. `eval_words`
-evaluates it bit-sliced: each variable's column over a batch of
-assignments is packed 64 assignments per uint64 word, so every node of the
-program is one word-wise operation (falsum is 0, AND is ``&``, OR is ``|``,
-implication is ``~x | y``) that decides 64 rows, in one pass over the
-nodes. `pack_columns` and `unpack_rows` convert between bool rows and
-words; `eval_batch_numpy` is the bool-matrix adapter over the same kernel.
-The kernel is differentially tested against the scalar evaluator.
+A formula is compiled, in the postorder `subformulas` yields, into flat
+arrays (kind, arg0, arg1) plus a variable-slot table: `build_program`
+compiles and keeps nothing, `compile_program` caches the result for the
+life of the process. `eval_words` evaluates it bit-sliced: each
+variable's column over a batch of assignments is packed 64 assignments per
+uint64 word, so every node of the program is one word-wise operation
+(falsum is 0, AND is ``&``, OR is ``|``, implication is ``~x | y``) that
+decides 64 rows, in one pass over the nodes. `pack_columns` and
+`unpack_rows` convert between bool rows and words; `eval_batch_numpy` is
+the bool-matrix adapter over the same kernel. The kernel is
+differentially tested against the scalar evaluator.
 """
 
 from __future__ import annotations
@@ -42,10 +44,16 @@ _program_cache: dict[Formula, Program] = {}
 
 
 def compile_program(f: Formula) -> Program:
-    """Compile (and cache) a formula into flat evaluation arrays."""
-    cached = _program_cache.get(f)
-    if cached is not None:
-        return cached
+    """`build_program`, cached for the life of the process: for formulas
+    compiled again and again, never for one used once."""
+    prog = _program_cache.get(f)
+    if prog is None:
+        prog = _program_cache[f] = build_program(f)
+    return prog
+
+
+def build_program(f: Formula) -> Program:
+    """Compile a formula into flat evaluation arrays; nothing is kept."""
     index: dict[Formula, int] = {}
     kinds: list[int] = []
     arg0: list[int] = []
@@ -63,14 +71,12 @@ def compile_program(f: Formula) -> Program:
         kinds.append(k)
         arg0.append(a)
         arg1.append(b)
-    prog = Program(
+    return Program(
         kinds=np.asarray(kinds, dtype=np.uint8),
         arg0=np.asarray(arg0, dtype=np.int32),
         arg1=np.asarray(arg1, dtype=np.int32),
         var_slots=tuple(sorted(slots, key=slots.get)),
     )
-    _program_cache[f] = prog
-    return prog
 
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:

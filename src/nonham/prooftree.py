@@ -78,11 +78,10 @@ class NodeTable:
     `share` returns the first node it was given with the same rule,
     conclusion, discharge and premise objects, so a construction that
     passes every node through one table, bottom-up, keeps one object per
-    distinct subproof. Nodes are keyed by the ids of their premises; the
-    table holds every node it keeps and each node holds its premises, so
-    those ids stay valid while it lives. A table belongs to one call and
-    goes with it: a node built outside it, such as a copy mutated in
-    place, is never shared behind its owner's back.
+    distinct subproof. Nodes are keyed by their premise objects, which
+    hash by identity, so a key costs one tuple and no walk. A table belongs
+    to one call and goes with it: a node built outside it, such as a copy
+    mutated in place, is never shared behind its owner's back.
     """
 
     __slots__ = ("_nodes",)
@@ -91,7 +90,7 @@ class NodeTable:
         self._nodes: dict[tuple, ProofTree] = {}
 
     def share(self, node: ProofTree) -> ProofTree:
-        key = (node.rule, node.conclusion, node.discharge, *map(id, node.premises))
+        key = (node.rule, node.conclusion, node.discharge, *node.premises)
         return self._nodes.setdefault(key, node)
 
 

@@ -1,15 +1,18 @@
 """Reference implementations the tests compare the package against.
 
 They are the plain versions of what `nonham` does faster: the full truth
-table and the n^n vertex-sequence table as bool and int rows, and the
-Hamiltonian path search as a scan over every permutation.
+table and the n^n vertex-sequence table as bool and int rows, the
+Hamiltonian path search as a scan over every permutation, and the
+translated goal's axiom fold built formula by formula.
 """
 
 import itertools
 
 import numpy as np
 
+from nonham.formulas import Formula, imp
 from nonham.graphs import Graph
+from nonham.implicational import Translation
 
 
 def step_vertex_block(n: int, lo: int, hi: int) -> np.ndarray:
@@ -40,3 +43,14 @@ def brute_force_path(g: Graph):
         if all((perm[i], perm[i + 1]) in g.edges for i in range(g.n - 1)):
             return perm
     return None
+
+
+def rho_star(t: Translation, axioms: list[Formula] | None = None) -> Formula:
+    """The translated goal with the axioms (all of them by default) folded
+    in front as antecedents, last axiom innermost."""
+    if t.star_root is None:
+        raise ValueError("translation not initialized")
+    out = t.star_root
+    for ax in reversed(t.axioms if axioms is None else list(axioms)):
+        out = imp(ax, out)
+    return out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonham import encoding
+from nonham import encoding, kernels
 from nonham.encoding import (
     PART_TAGS,
     SAT_CAP,
@@ -220,6 +220,20 @@ class TestSatisfiability:
             assert np.array_equal(encoding._block_columns(prog, n, k, block), pack_columns(bits))
             offsets = np.arange(size)
             assert np.array_equal(encoding._block_rows(n, k, block, offsets), rows.T)
+
+    def test_scans_cache_no_program_per_graph(self):
+        # only the parts that depend on n alone are cached; each graph's
+        # edge_ban program goes with its scan
+        satisfiable(Graph(5, frozenset()))
+        cached = len(kernels._program_cache)
+        verdicts = set()
+        for seed in range(20):
+            g = random_graph(Random(seed), 5, edge_prob=0.4)
+            want = is_hamiltonian(g) is not None
+            assert satisfiable(g) == want
+            verdicts.add(want)
+        assert len(kernels._program_cache) == cached
+        assert verdicts == {True, False}
 
     def test_n7_scan_crosses_blocks_and_matches_path_search(self):
         # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1

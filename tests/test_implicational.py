@@ -1,11 +1,14 @@
 """Tests for the translation into purely implicational minimal logic."""
 
 import itertools
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import nonham_graphs
+from nonham import formulas
 from nonham.builder import build_refutation
 from nonham.errors import UnsupportedRuleError
 from nonham.formulas import (
@@ -29,7 +32,7 @@ from nonham.implicational import (
     used_axioms,
 )
 from nonham.kernels import compile_program, eval_batch_numpy
-from references import bit_block
+from references import bit_block, rho_star
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,
@@ -122,19 +125,32 @@ class TestStar:
 
     def test_rho_star_folds_axioms_in_front(self):
         t = translate_formula(conj(A, B))
-        rho = t.rho_star()
+        rho = rho_star(t)
         want = t.star_root
         for ax in reversed(t.axioms):
             want = imp(ax, want)
         assert rho is want
-        assert t.rho_star([]) is t.star_root
+        assert rho_star(t, []) is t.star_root
+
+    def test_folded_weight_over_used_axiom_subsets_n2(self):
+        rng = Random(12)
+        for g in nonham_graphs(2):
+            report = build_refutation(g)
+            t = translate_formula(report.proof.conclusion)
+            used = used_axioms(report.proof, t)
+            subsets = [used[:k] for k in range(len(used) + 1)]
+            subsets += [rng.sample(used, rng.randrange(len(used) + 1)) for _ in range(8)]
+            for axioms in subsets:
+                assert t.folded_weight(axioms) == weight(rho_star(t, axioms))
 
     @given(formulas_st())
     @settings(max_examples=80)
     def test_star_is_implicational_and_cubic(self, f):
         t = translate_formula(f)
-        assert is_implicational(t.rho_star())
-        assert weight(t.rho_star()) <= weight(f) ** 3
+        assert is_implicational(rho_star(t))
+        assert weight(rho_star(t)) <= weight(f) ** 3
+        assert t.folded_weight() == weight(rho_star(t))
+        assert t.folded_weight([]) == weight(t.star_root)
 
     @given(formulas_st())
     @settings(max_examples=50)
@@ -281,5 +297,30 @@ class TestRefutationTranslation:
             m = check_tree(q)
             assert m.open_assumptions == frozenset()
             assert is_normal(q)
-            assert q.conclusion is t.rho_star(used_axioms(report.proof, t))
+            assert q.conclusion is rho_star(t, used_axioms(report.proof, t))
             assert all(is_implicational(n.conclusion) for n in iter_nodes(q))
+
+
+class TestNoDeadFormulas:
+    def test_every_interned_formula_is_named_by_an_output(self, monkeypatch):
+        # the intern table keeps what it holds for the life of the process,
+        # so build -> translate may intern only parts of what its outputs
+        # name; each graph runs against empty tables, so nothing earlier
+        # in the process hides a formula from the check
+        graphs = [*nonham_graphs(2), *nonham_graphs(3), Graph(4, frozenset())]
+        assert len(graphs) == 18
+        for g in graphs:
+            monkeypatch.setattr(formulas, "_interned", {})
+            monkeypatch.setattr(formulas, "_x_vars", {})
+            report = build_refutation(g)
+            t = translate_formula(report.proof.conclusion)
+            q = translate_proof(report.proof, t)
+            roots = [report.encoding.formula, t.star_root, *t.axioms, *t.qmap.values()]
+            for node in (*iter_nodes(report.proof), *iter_nodes(q)):
+                roots += [node.conclusion, *node.discharge]
+            named: set = set()
+            for root in roots:
+                for f in subformulas(root, named):
+                    named.add(f)
+            dead = [f for f in formulas._interned.values() if f not in named]
+            assert not dead, f"graph {g.graph_id}: {len(dead)} formulas no output names"

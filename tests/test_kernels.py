@@ -14,7 +14,9 @@ from nonham.formulas import (
     subformulas,
     x_var,
 )
+from nonham import kernels
 from nonham.kernels import (
+    build_program,
     compile_program,
     eval_batch_numpy,
     eval_words,
@@ -56,6 +58,16 @@ class TestCompile:
     def test_programs_are_cached(self):
         f = disj(x_var(1, 1), x_var(2, 2))
         assert compile_program(f) is compile_program(f)
+
+    def test_build_program_compiles_the_same_and_keeps_nothing(self):
+        f = disj(x_var(3, 1), imp(x_var(1, 3), conj(x_var(3, 1), bot())))
+        cached = len(kernels._program_cache)
+        prog = build_program(f)
+        assert len(kernels._program_cache) == cached
+        want = compile_program(f)
+        assert prog is not want and prog.var_slots == want.var_slots
+        for name in ("kinds", "arg0", "arg1"):
+            assert np.array_equal(getattr(prog, name), getattr(want, name))
 
     def test_var_slots_are_distinct_names(self):
         f = conj(conj(q_var("a"), q_var("b")), conj(q_var("a"), q_var("c")))
