@@ -19,7 +19,6 @@ from .dagproof import (
     compress_horizontal,
     dumps_dag,
     loads_dag,
-    tree_to_dag,
     verify_dag,
 )
 from .encoding import PathEncoding, encode_graph, satisfiable
@@ -30,7 +29,6 @@ from .formulas import (
     bot,
     conj,
     disj,
-    eval_formula,
     formulas_from_table,
     formulas_to_table,
     imp,
@@ -91,7 +89,6 @@ __all__ = [
     "dumps_proof",
     "encode_graph",
     "enumerate_graphs",
-    "eval_formula",
     "finalize_negation",
     "find_violation",
     "formulas_from_table",
@@ -107,7 +104,6 @@ __all__ = [
     "to_text",
     "translate_formula",
     "translate_proof",
-    "tree_to_dag",
     "unfold_nary",
     "used_axioms",
     "var",

@@ -216,12 +216,21 @@ def unfold_nary(p: ProofTree, table: NodeTable | None = None) -> ProofTree:
     share = table.share
     memo: dict[int, ProofTree] = {}
     for node in iter_nodes(p):
-        prem = [memo[id(ch)] for ch in node.premises]
+        src = node.premises
+        if len(src) == 1:
+            prem = (memo[id(src[0])],)
+        elif len(src) == 2:
+            prem = (memo[id(src[0])], memo[id(src[1])])
+        elif src:  # OrElimN
+            prem = tuple([memo[id(ch)] for ch in src])
+        else:
+            prem = src
         if node.rule != OR_ELIM or len(prem) == 3:
-            if all(a is b for a, b in zip(prem, node.premises)):
+            # premises compare by identity, so `==` asks whether all are kept
+            if prem == src:
                 memo[id(node)] = node
             else:
-                memo[id(node)] = share(ProofTree(node.conclusion, node.rule, tuple(prem),
+                memo[id(node)] = share(ProofTree(node.conclusion, node.rule, prem,
                                                  node.discharge))
             continue
         major, *cases = prem
@@ -286,7 +295,11 @@ def build_refutation(g: Graph, mode: str = "auto",
     tower, leaf_count = build_case_tower(g, enc, used, table)
     heights: dict[int, int] = {}
     for node in iter_nodes(tower):
-        heights[id(node)] = 1 + max((heights[id(q)] for q in node.premises), default=0)
+        h = 0
+        for q in node.premises:
+            if heights[id(q)] > h:
+                h = heights[id(q)]
+        heights[id(node)] = h + 1
     tower_height = heights[id(tower)]
     unfolded = unfold_nary(tower, table)
     proof, metrics = finalize_negation(unfolded, enc)

@@ -110,15 +110,15 @@ class OriginMap:
         return sum(self.mult)
 
 
-def _levels(p: ProofTree, sites: bool):
-    """Level-synchronous walk of a tree proof: the node and child ids of
-    each id, and the first id of each level followed by the id count.
+def _levels(p: ProofTree):
+    """Level-synchronous walk of a tree proof: the node and child sites of
+    each site, and the first site of each level followed by the site count.
 
     Level L+1 is numbered while level L is read in index order, each node's
-    premises in premise order, so ids run level by level and, within a
-    level, in order of first preorder occurrence. Without `sites` every
-    occurrence gets an id; with it, an object met again on the same level
-    keeps the id it got first. Every child id exceeds its parent's."""
+    premises in premise order, so sites run level by level and, within a
+    level, in order of first preorder occurrence; an object met again on
+    the same level keeps the site it got first. Every child site exceeds
+    its parent's."""
     nodes = [p]
     children: list[list[int]] = []
     starts = [0]
@@ -126,16 +126,14 @@ def _levels(p: ProofTree, sites: bool):
     while lo < len(nodes):
         hi = len(nodes)
         starts.append(hi)
-        seen: dict[int, int] = {}  # id(node) -> its id on the next level
+        seen: dict[int, int] = {}  # id(node) -> its site on the next level
         for node in nodes[lo:hi]:
             ids = []
             for ch in node.premises:
-                idx = seen.get(id(ch)) if sites else None
+                idx = seen.get(id(ch))
                 if idx is None:
-                    idx = len(nodes)
+                    idx = seen[id(ch)] = len(nodes)
                     nodes.append(ch)
-                    if sites:
-                        seen[id(ch)] = idx
                 ids.append(idx)
             children.append(ids)
         lo = hi
@@ -145,7 +143,7 @@ def _levels(p: ProofTree, sites: bool):
 def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     """Merge same-level same-formula occurrences of an implicational tree,
     working once per site, level by level (see the module docstring)."""
-    site_nodes, site_children, starts = _levels(p, sites=True)
+    site_nodes, site_children, starts = _levels(p)
     total = len(site_nodes)
 
     # merge classes keyed by (level, formula); ids run level by level, in
@@ -178,17 +176,19 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     # occurrence counts, pushed down in index order (children follow parents)
     mult = [0] * total
     mult[0] = 1
+    tree_weight = 0
     for s in range(total):
         m = mult[s]
+        tree_weight += m * site_nodes[s].conclusion.weight
         for c in site_children[s]:
             mult[c] += m
     occurrences = sum(mult)
-    tree_weight = sum(m * node.conclusion.weight for m, node in zip(mult, site_nodes))
 
     # Nodes in final order, a level at a time: the level's classes, then the
     # representatives of its separation nodes by first site of their group.
     # A class's node sits at its id plus the representatives of the levels
-    # above it.
+    # above it. Child sites are read by count: implicational rules take at
+    # most two premises, and the last branch keeps any other count as given.
     nodes: list[DagNode] = []
     node_of: list[int] = []
     group_of = [0] * total
@@ -200,10 +200,18 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
         firsts: list[int] = []  # first sites of groups, in site order
         for s in range(lo, hi):
             cid = site_class[s]
+            node_of.append(cid + offset)
             if class_size[cid] > 1:  # a lone site is group 0 of its class
                 node = site_nodes[s]
-                key = (cid, node.rule, node.discharge,
-                       *[site_class[c] for c in site_children[s]])
+                ch = site_children[s]
+                if not ch:
+                    key = (cid, node.rule, node.discharge)
+                elif len(ch) == 1:
+                    key = (cid, node.rule, node.discharge, site_class[ch[0]])
+                elif len(ch) == 2:
+                    key = (cid, node.rule, node.discharge, site_class[ch[0]], site_class[ch[1]])
+                else:
+                    key = (cid, node.rule, node.discharge, *[site_class[c] for c in ch])
                 gi = groups.get(key)
                 if gi is None:
                     gi = groups[key] = group_count[cid]
@@ -212,25 +220,33 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
                 group_of[s] = gi
         reps = [s for s in firsts if group_count[site_class[s]] > 1]
         below = offset + len(reps)  # offset of the next level's classes
-        node_of += [site_class[s] + offset for s in range(lo, hi)]
 
+        # the level's classes (a lone derivation or a separation node),
+        # then the representatives one level below
+        classes = class_first[class_starts[level]:class_starts[level + 1]]
         sep_premises: dict[int, list[int]] = {}
-        for cid in range(class_starts[level], class_starts[level + 1]):
-            node = site_nodes[class_first[cid]]
-            if group_count[cid] > 1:
+        for k, s in enumerate(classes + reps):
+            node = site_nodes[s]
+            cid = site_class[s]
+            rep = k >= len(classes)
+            if not rep and group_count[cid] > 1:
                 sep_premises[cid] = []
                 nodes.append(DagNode(node.conclusion, SEP, (), level))
+                continue
+            ch = site_children[s]
+            if not ch:
+                premises = ()
+            elif len(ch) == 1:
+                premises = (site_class[ch[0]] + below,)
+            elif len(ch) == 2:
+                premises = (site_class[ch[0]] + below, site_class[ch[1]] + below)
             else:
-                nodes.append(DagNode(node.conclusion, node.rule,
-                                     tuple([site_class[c] + below
-                                            for c in site_children[class_first[cid]]]),
-                                     level))
-        for s in reps:
-            node = site_nodes[s]
-            sep_premises[site_class[s]].append(len(nodes))
-            nodes.append(DagNode(node.conclusion, node.rule,
-                                 tuple([site_class[c] + below for c in site_children[s]]),
-                                 level + 1, True))
+                premises = tuple([site_class[c] + below for c in ch])
+            if rep:
+                sep_premises[cid].append(len(nodes))
+                nodes.append(DagNode(node.conclusion, node.rule, premises, level + 1, True))
+            else:
+                nodes.append(DagNode(node.conclusion, node.rule, premises, level))
         for cid, premises in sep_premises.items():
             nodes[cid + offset].premises = tuple(premises)
         offset = below
@@ -336,9 +352,16 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
             remap[q] = 0
         remap[i] = len(kept)
         kept.append(node)
-    nodes = [DagNode(node.formula, node.rule, tuple([remap[q] for q in node.premises]),
-                     node.level, node.is_rep)
-             for node in kept]
+    nodes: list[DagNode] = []
+    for node in kept:
+        prem = node.premises
+        if len(prem) == 1:
+            prem = (remap[prem[0]],)
+        elif len(prem) == 2:
+            prem = (remap[prem[0]], remap[prem[1]])
+        elif prem:
+            prem = tuple([remap[q] for q in prem])
+        nodes.append(DagNode(node.formula, node.rule, prem, node.level, node.is_rep))
     return DagProof(nodes=nodes, root=0,
                     source_tree_weight=d.source_tree_weight,
                     had_duplicates=d.had_duplicates)
@@ -354,7 +377,7 @@ def _structure_check(d: DagProof):
         if node.rule not in DAG_RULES:
             raise IllFormedDagError(i, f"unknown rule {node.rule!r}")
         for q in node.premises:
-            if not (isinstance(q, int) and 0 <= q < n):
+            if not (type(q) is int and 0 <= q < n):
                 raise IllFormedDagError(i, f"premise id {q!r} out of range")
             if q <= i:
                 raise IllFormedDagError(i, "premises must come after the node")
@@ -431,24 +454,12 @@ def dag_height(d: DagProof) -> int:
     n = len(d.nodes)
     heights = [0] * n
     for i in range(n - 1, -1, -1):
-        prem = d.nodes[i].premises
-        heights[i] = 1 + max((heights[q] for q in prem), default=0)
+        h = 0
+        for q in d.nodes[i].premises:
+            if heights[q] > h:
+                h = heights[q]
+        heights[i] = h + 1
     return heights[d.root]
-
-
-def tree_to_dag(p: ProofTree) -> DagProof:
-    """Embed a tree proof as a dag without merging (one node per occurrence)."""
-    occ_nodes, occ_children, starts = _levels(p, sites=False)
-    nodes: list[DagNode] = []
-    for level in range(len(starts) - 1):
-        for oid in range(starts[level], starts[level + 1]):
-            node = occ_nodes[oid]
-            if node.rule not in IMPLICATIONAL_RULES:
-                raise UnsupportedRuleError(f"implicational proofs only, got {node.rule}")
-            nodes.append(DagNode(node.conclusion, node.rule, tuple(occ_children[oid]), level))
-    weight = sum(n.formula.weight for n in nodes)
-    return DagProof(nodes=nodes, root=0, source_tree_weight=weight,
-                    had_duplicates=False)
 
 
 _DAG_FIELDS = frozenset({"id", "rule", "formula", "premises", "level"})

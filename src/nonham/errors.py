@@ -24,14 +24,6 @@ class CapExceededError(NonhamError):
     """Raised when a brute-force operation is asked to exceed its size cap."""
 
 
-class UnboundVariableError(NonhamError):
-    """Raised when evaluation meets a variable missing from the assignment."""
-
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"assignment does not bind variable {name.name}")
-
-
 class GraphIsHamiltonianError(NonhamError):
     """Raised when a refutation is requested for a graph that has a Hamiltonian path."""
 

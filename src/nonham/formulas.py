@@ -14,8 +14,8 @@ build formulas on one thread, read them from anywhere.
 Proof objects downstream get large (antecedent chains nest thousands deep),
 so no walk here recurses. `subformulas` is the package's one walk over a
 formula: it visits each distinct subformula once, children first, and table
-conversion, evaluation, kernel compilation and the implicational translation
-all run on it. `to_text` is a different walk: it visits every occurrence,
+conversion, kernel compilation and the implicational translation all run on
+it. `to_text` is a different walk: it visits every occurrence,
 not every distinct formula, and stops at its limit.
 
 Artifacts store formulas as a table (`formulas_to_table`,
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Union
+from typing import Container, Iterable, Iterator, Union
 
-from .errors import ProofFormatError, UnboundVariableError
+from .errors import ProofFormatError
 
 BOT, VAR, AND, OR, IMP = range(5)
 
@@ -308,27 +308,6 @@ def formulas_from_table(entries) -> list[Formula]:
         else:
             raise ProofFormatError(f"formula {pos}: malformed {tag[:20]!r} entry")
     return out
-
-
-def eval_formula(f: Formula, assignment: Mapping[VarName, bool]) -> bool:
-    """Classical truth value under the assignment; iterative, memoized per node."""
-    memo: dict[Formula, bool] = {}
-    for node in subformulas(f, memo):
-        k = node.kind
-        if k == BOT:
-            memo[node] = False
-        elif k == VAR:
-            try:
-                memo[node] = bool(assignment[node.var])
-            except KeyError:
-                raise UnboundVariableError(node.var) from None
-        elif k == AND:
-            memo[node] = memo[node.left] and memo[node.right]
-        elif k == OR:
-            memo[node] = memo[node.left] or memo[node.right]
-        else:
-            memo[node] = (not memo[node.left]) or memo[node.right]
-    return memo[f]
 
 
 def chain_disj(items: list[Formula]) -> Formula:

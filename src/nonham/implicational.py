@@ -210,27 +210,27 @@ def translate_proof(p: ProofTree, t: Translation) -> ProofTree:
     memo: dict[int, ProofTree] = {}
     for node in iter_nodes(p):
         r = node.rule
-        prem = [memo[id(ch)] for ch in node.premises]
+        prem = node.premises
         if r == HYP:
             out = hyp(t.star(node.conclusion))
         elif r == IMP_INTRO:
-            out = imp_intro(prem[0], t.star(node.discharge[0]))
+            out = imp_intro(memo[id(prem[0])], t.star(node.discharge[0]))
         elif r == IMP_ELIM:
-            out = imp_elim(prem[0], prem[1])
+            out = imp_elim(memo[id(prem[0])], memo[id(prem[1])])
         elif r == AND_ELIM_L:
-            src = node.premises[0].conclusion
-            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.left)))), prem[0])
+            src = prem[0].conclusion
+            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.left)))), memo[id(prem[0])])
         elif r == AND_ELIM_R:
-            src = node.premises[0].conclusion
-            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.right)))), prem[0])
+            src = prem[0].conclusion
+            out = imp_elim(share(hyp(imp(t.star(src), t.star(src.right)))), memo[id(prem[0])])
         else:  # binary OrElimN
             major, c1, c2 = prem
             d1, d2 = node.discharge
-            ax = t.case_axiom(node.premises[0].conclusion, t.star(node.conclusion))
-            w1 = share(imp_intro(c1, t.star(d1)))
-            w2 = share(imp_intro(c2, t.star(d2)))
+            ax = t.case_axiom(major.conclusion, t.star(node.conclusion))
+            w1 = share(imp_intro(memo[id(c1)], t.star(d1)))
+            w2 = share(imp_intro(memo[id(c2)], t.star(d2)))
             split = share(imp_elim(share(imp_elim(share(hyp(ax)), w1)), w2))
-            out = imp_elim(split, major)
+            out = imp_elim(split, memo[id(major)])
         memo[id(node)] = share(out)
 
     out = memo[id(p)]

@@ -39,6 +39,7 @@ from .formulas import (
     Formula,
     chain_disj,
     formulas_to_table,
+    imp,
     subformulas,
     to_text,
 )
@@ -99,8 +100,6 @@ def hyp(f: Formula) -> ProofTree:
 
 
 def imp_intro(premise: ProofTree, antecedent: Formula) -> ProofTree:
-    from .formulas import imp
-
     return ProofTree(imp(antecedent, premise.conclusion), IMP_INTRO,
                      (premise,), (antecedent,))
 
@@ -275,7 +274,11 @@ class HypothesisBits:
 
 
 def check_tree(p: ProofTree) -> Metrics:
-    """Revalidate every node and compute sizes. The one checker of record."""
+    """Revalidate every node and compute sizes. The one checker of record.
+
+    `_local_fault` has fixed each node's arity before its sizes are read:
+    one premise for ImpIntro and the conjunction eliminations, two for
+    ImpElim, three or more for OrElimN."""
     hyps = HypothesisBits()
     # per distinct node: (open mask, height, occurrence weight)
     info: dict[int, tuple[int, int, int]] = {}
@@ -287,23 +290,28 @@ def check_tree(p: ProofTree) -> Metrics:
             raise IllFormedProofError(_path_to(p, node), fault)
         f = node.conclusion
         formulas_seen.add(f)
-        r = node.rule
-        if r == HYP:
+        prem = node.premises
+        if not prem:  # Hyp
             info[id(node)] = (hyps.bit(f), 1, f.weight)
             continue
-        subs = [info[id(q)] for q in node.premises]
-        if r == IMP_INTRO:
-            mask = hyps.drop(subs[0][0], node.discharge[0])
-        elif r == OR_ELIM:
-            mask = subs[0][0]
-            for (case, _, _), d in zip(subs[1:], node.discharge):
-                mask |= hyps.drop(case, d)
-        else:
-            mask = 0
-            for m, _, _ in subs:
-                mask |= m
-        info[id(node)] = (mask, 1 + max(h for _, h, _ in subs),
-                          f.weight + sum(w for _, _, w in subs))
+        mask, height, weight = info[id(prem[0])]
+        if len(prem) == 1:
+            if node.rule == IMP_INTRO:
+                mask = hyps.drop(mask, node.discharge[0])
+        elif len(prem) == 2:  # ImpElim
+            m, h, w = info[id(prem[1])]
+            mask |= m
+            if h > height:
+                height = h
+            weight += w
+        else:  # OrElimN: each case drops its own discharge
+            for q, d in zip(prem[1:], node.discharge):
+                m, h, w = info[id(q)]
+                mask |= hyps.drop(m, d)
+                if h > height:
+                    height = h
+                weight += w
+        info[id(node)] = (mask, height + 1, weight + f.weight)
 
     mask, height, weight = info[id(p)]
     return Metrics(

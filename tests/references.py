@@ -1,18 +1,23 @@
 """Reference implementations the tests compare the package against.
 
 They are the plain versions of what `nonham` does faster: the full truth
-table and the n^n vertex-sequence table as bool and int rows, the
-Hamiltonian path search as a scan over every permutation, and the
-translated goal's axiom fold built formula by formula.
+table and the n^n vertex-sequence table as bool and int rows, a formula's
+truth value under one assignment, the Hamiltonian path search as a scan
+over every permutation, the translated goal's axiom fold built formula by
+formula, and a tree proof embedded as a dag with one node per occurrence.
 """
 
 import itertools
+from typing import Mapping
 
 import numpy as np
 
-from nonham.formulas import Formula, imp
+from nonham.dagproof import DagNode, DagProof
+from nonham.errors import NonhamError, UnsupportedRuleError
+from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas
 from nonham.graphs import Graph
 from nonham.implicational import Translation
+from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree
 
 
 def step_vertex_block(n: int, lo: int, hi: int) -> np.ndarray:
@@ -54,3 +59,50 @@ def rho_star(t: Translation, axioms: list[Formula] | None = None) -> Formula:
     for ax in reversed(t.axioms if axioms is None else list(axioms)):
         out = imp(ax, out)
     return out
+
+
+class UnboundVariableError(NonhamError):
+    """Raised when evaluation meets a variable missing from the assignment."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"assignment does not bind variable {name.name}")
+
+
+def eval_formula(f: Formula, assignment: Mapping[VarName, bool]) -> bool:
+    """Classical truth value under the assignment; iterative, memoized per node."""
+    memo: dict[Formula, bool] = {}
+    for node in subformulas(f, memo):
+        k = node.kind
+        if k == BOT:
+            memo[node] = False
+        elif k == VAR:
+            try:
+                memo[node] = bool(assignment[node.var])
+            except KeyError:
+                raise UnboundVariableError(node.var) from None
+        elif k == AND:
+            memo[node] = memo[node.left] and memo[node.right]
+        elif k == OR:
+            memo[node] = memo[node.left] or memo[node.right]
+        else:
+            memo[node] = (not memo[node.left]) or memo[node.right]
+    return memo[f]
+
+
+def tree_to_dag(p: ProofTree) -> DagProof:
+    """Embed a tree proof as a dag without merging: one node per occurrence,
+    numbered breadth-first, so level by level and, within a level, in
+    preorder."""
+    occurrences = [(p, 0)]
+    nodes: list[DagNode] = []
+    for node, level in occurrences:
+        if node.rule not in IMPLICATIONAL_RULES:
+            raise UnsupportedRuleError(f"implicational proofs only, got {node.rule}")
+        first = len(occurrences)
+        occurrences += [(ch, level + 1) for ch in node.premises]
+        nodes.append(DagNode(node.conclusion, node.rule,
+                             tuple(range(first, len(occurrences))), level))
+    weight = sum(n.formula.weight for n in nodes)
+    return DagProof(nodes=nodes, root=0, source_tree_weight=weight,
+                    had_duplicates=False)

@@ -23,7 +23,7 @@ from nonham.bench import (
     run_bench,
 )
 from nonham.builder import build_refutation
-from nonham.dagproof import compress_and_verify, tree_to_dag, verify_dag
+from nonham.dagproof import compress_and_verify, verify_dag
 from nonham.encoding import satisfiable
 from nonham.errors import IllFormedProofError, OpenAssumptionsError
 from nonham.formulas import bot, imp, is_implicational, q_var, weight
@@ -39,6 +39,7 @@ from nonham.prooftree import (
     iter_nodes,
     subformula_ok,
 )
+from references import tree_to_dag
 
 IMPLICATIONAL_RULES = {"Hyp", "ImpIntro", "ImpElim"}
 

@@ -20,7 +20,6 @@ from nonham.dagproof import (
     dag_to_json,
     dumps_dag,
     loads_dag,
-    tree_to_dag,
     verify_dag,
 )
 from nonham.errors import (
@@ -43,6 +42,7 @@ from nonham.prooftree import (
     loads_proof,
     proof_to_json,
 )
+from references import tree_to_dag
 
 A, B, C, R = (q_var(name) for name in "abcr")
 
@@ -305,6 +305,17 @@ class TestVerifyRejections:
         )
         with pytest.raises(IllFormedDagError):
             verify_dag(hyp_with_premises)
+
+    def test_boolean_premise_ids_are_rejected(self):
+        # True == 1, but a premise id is an int and nothing else, as in
+        # the dag document
+        a = q_var("a")
+        d = DagProof(nodes=[DagNode(imp(a, a), "ImpIntro", (True,), 0), DagNode(a, "Hyp", (), 1)],
+                     root=0)
+        with pytest.raises(IllFormedDagError, match="premise id True"):
+            verify_dag(d)
+        with pytest.raises(IllFormedDagError, match="premise id True"):
+            dag_height(d)
 
     def test_open_single_hypothesis(self):
         with pytest.raises(OpenAssumptionsError):

@@ -17,10 +17,10 @@ from nonham.encoding import (
     satisfiable,
 )
 from nonham.errors import CapExceededError
-from nonham.formulas import AND, XVar, bot, conj, disj, eval_formula, imp, x_var
+from nonham.formulas import AND, XVar, bot, conj, disj, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
 from nonham.kernels import compile_program, eval_batch_numpy, pack_columns
-from references import bit_block, step_vertex_block
+from references import bit_block, eval_formula, step_vertex_block
 
 
 def descend(f, path):

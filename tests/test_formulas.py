@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from nonham.errors import ProofFormatError, UnboundVariableError
+from nonham.errors import ProofFormatError
 from nonham.formulas import (
     AND,
     BOT,
@@ -22,7 +22,6 @@ from nonham.formulas import (
     chain_disj,
     conj,
     disj,
-    eval_formula,
     formulas_from_table,
     formulas_to_table,
     imp,
@@ -35,6 +34,7 @@ from nonham.formulas import (
     weight,
     x_var,
 )
+from references import UnboundVariableError, eval_formula
 
 A = q_var("a")
 B = q_var("b")

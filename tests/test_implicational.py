@@ -17,7 +17,6 @@ from nonham.formulas import (
     chain_disj,
     conj,
     disj,
-    eval_formula,
     imp,
     is_implicational,
     q_var,
@@ -32,7 +31,7 @@ from nonham.implicational import (
     used_axioms,
 )
 from nonham.kernels import compile_program, eval_batch_numpy
-from references import bit_block, rho_star
+from references import bit_block, eval_formula, rho_star
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,

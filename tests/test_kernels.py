@@ -9,7 +9,6 @@ from nonham.formulas import (
     conj,
     disj,
     imp,
-    eval_formula,
     q_var,
     subformulas,
     x_var,
@@ -23,7 +22,7 @@ from nonham.kernels import (
     pack_columns,
     unpack_rows,
 )
-from references import bit_block, step_vertex_block
+from references import bit_block, eval_formula, step_vertex_block
 
 ATOMS = [q_var(name) for name in "abcdef"]
 

@@ -365,6 +365,21 @@ class TestRandomProofs:
 WIDE_POOL = [q_var(f"w{i}") for i in range(70)]
 
 
+def reference_sizes(p):
+    """Height, weight and distinct formula weight by a walk over every
+    occurrence, with nothing memoized: `Metrics` read as the definitions."""
+    height = weight = 0
+    formulas = set()
+    stack = [(p, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        weight += node.conclusion.weight
+        formulas.add(node.conclusion)
+        stack.extend((q, depth + 1) for q in node.premises)
+    return height, weight, sum(f.weight for f in formulas)
+
+
 def reference_open_set(p):
     """Open assumptions by frozenset arithmetic over distinct nodes."""
     opens = {}
@@ -384,23 +399,28 @@ def reference_open_set(p):
 
 @st.composite
 def wide_proofs(draw):
-    """Proofs over 70 atoms that reuse earlier subproofs and split cases,
-    with discharges that are often vacuous."""
+    """Proofs over 70 atoms that reuse earlier subproofs and split cases
+    two, three or four ways, with discharges that are often vacuous."""
     atoms = st.sampled_from(WIDE_POOL)
     pool = [hyp(draw(atoms)) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(0, 12))):
         sub = draw(st.sampled_from(pool))
-        step = draw(st.integers(0, 2))
+        step = draw(st.integers(0, 3))
         if step == 0:
             new = imp_intro(sub, draw(st.sampled_from([*WIDE_POOL[:3], *(
                 n.conclusion for n in iter_nodes(sub) if n.rule == "Hyp")])))
         elif step == 1:
             new = imp_elim(hyp(imp(sub.conclusion, draw(atoms))), sub)
-        else:
+        elif step == 2:
             other = draw(st.sampled_from(pool))
             d1, d2 = draw(atoms), draw(atoms)
             case2 = imp_elim(hyp(imp(other.conclusion, sub.conclusion)), other)
             new = or_elim(hyp(disj(d1, d2)), [sub, case2], (d1, d2))
+        else:
+            # every case after the first uses its own discharge
+            ds = [draw(atoms) for _ in range(draw(st.integers(3, 4)))]
+            cases = [sub] + [imp_elim(hyp(imp(d, sub.conclusion)), hyp(d)) for d in ds[1:]]
+            new = or_elim(hyp(chain_disj(ds)), cases, tuple(ds))
         pool.append(new)
     return pool[-1]
 
@@ -446,3 +466,9 @@ class TestOpenSetMasks:
     @settings(max_examples=150)
     def test_masks_match_frozenset_bookkeeping(self, p):
         assert check_tree(p).open_assumptions == reference_open_set(p)
+
+    @given(wide_proofs())
+    @settings(max_examples=150)
+    def test_sizes_match_the_occurrence_walk(self, p):
+        m = check_tree(p)
+        assert (m.height, m.weight, m.distinct_formula_weight) == reference_sizes(p)
