@@ -7,7 +7,7 @@ translated into purely implicational minimal logic, and horizontally
 compressed into a dag proof that an independent checker re-verifies.
 """
 
-from .builder import BuildReport, build_case_tower, build_refutation, finalize_negation, unfold_nary
+from .builder import BuildReport, build_case_tower, build_refutation, finalize_negation
 from .dagproof import (
     Compression,
     DagNode,
@@ -104,7 +104,6 @@ __all__ = [
     "to_text",
     "translate_formula",
     "translate_proof",
-    "unfold_nary",
     "used_axioms",
     "var",
     "verify_dag",

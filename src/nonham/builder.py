@@ -9,34 +9,30 @@ ImpIntro, ImpElim, AndElimL/R and binary OrElimN. Stages:
    an elimination chain extracts it from the single open copy of the
    encoding, and two ImpElims against the violated position variables
    close the branch with `false`;
-2. case tower: an n-ary case split per step over which vertex is visited,
-   innermost step last; the major premise of each split extracts the
-   step_occupied disjunction; in `pruned` mode a branch stops as soon as
-   its prefix already contains a violation, in `faithful` mode all n^n
-   full sequences get leaves;
-3. `unfold_nary` rewrites every n-ary split into right-nested binary ones;
-4. `finalize_negation` discharges the encoding and checks, once, that the
+2. case tower: a case split per step over which vertex is visited,
+   innermost step last, written as right-nested binary splits; the major
+   premise of the outermost one extracts the step_occupied disjunction,
+   and each inner one's major is a hypothesis for the remaining suffix of
+   that chain, discharged by the split above it; in `pruned` mode a branch
+   stops as soon as its prefix already contains a violation, in `faithful`
+   mode all n^n full sequences get leaves;
+3. `finalize_negation` discharges the encoding and checks, once, that the
    resulting proof of encoding -> false is closed.
 
-Every node the case tower and `unfold_nary` create goes through one
-`NodeTable` per `build_refutation` call, so equal subproofs (leaves,
-elimination chains, case splits, the suffix hypotheses of unfolded splits)
-are one object: the result is a tree by occurrence but a small dag by
-object identity, and the kernel and metrics treat it as a tree.
+Every node the case tower creates goes through one `NodeTable` per
+`build_refutation` call, so equal subproofs (leaves, elimination chains,
+case splits, the suffix hypotheses of inner splits) are one object: the
+result is a tree by occurrence but a small dag by object identity, and the
+kernel and metrics treat it as a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CapExceededError,
-    GraphIsHamiltonianError,
-    ShapeMismatchError,
-    WrongOpenSetError,
-)
+from .errors import CapExceededError, GraphIsHamiltonianError, WrongOpenSetError
 from .encoding import PathEncoding, conjunct_path, encode_graph
-from .formulas import Formula, chain_disj, x_var
+from .formulas import x_var
 from .graphs import (
     Graph,
     MissingEdge,
@@ -46,7 +42,6 @@ from .graphs import (
     prefix_violation,
 )
 from .prooftree import (
-    OR_ELIM,
     Metrics,
     NodeTable,
     ProofTree,
@@ -56,7 +51,6 @@ from .prooftree import (
     hyp,
     imp_elim,
     imp_intro,
-    iter_nodes,
     or_elim,
 )
 
@@ -98,8 +92,9 @@ def elim_chain(start: ProofTree, path: list[str], table: NodeTable) -> ProofTree
 
 
 def leaf_from_violation(viol: Violation, enc: PathEncoding,
-                        table: NodeTable | None = None) -> ProofTree:
-    """Refute `false` from the two position variables a violation pins down.
+                        table: NodeTable | None = None) -> tuple[ProofTree, int]:
+    """Refute `false` from the two position variables a violation pins down;
+    returns the proof and its height.
 
     Open assumptions: the encoding and the two variables, which the
     surrounding case tower discharges. Violations only mention positions
@@ -123,7 +118,9 @@ def leaf_from_violation(viol: Violation, enc: PathEncoding,
     else:
         raise TypeError(f"not a violation: {viol!r}")
     chain = elim_chain(share(hyp(enc.formula)), path, table)
-    return share(imp_elim(share(imp_elim(chain, share(hyp(first)))), share(hyp(second))))
+    leaf = share(imp_elim(share(imp_elim(chain, share(hyp(first)))), share(hyp(second))))
+    # the longest branch: two ImpElims, the chain, the encoding's Hyp
+    return leaf, len(path) + 3
 
 
 class _CaseTower:
@@ -135,34 +132,44 @@ class _CaseTower:
     only the cyclic collector frees.
     """
 
-    def __init__(self, g: Graph, enc: PathEncoding, faithful: bool, table: NodeTable):
+    def __init__(self, g: Graph, enc: PathEncoding, faithful: bool):
         self.g = g
         self.enc = enc
         self.faithful = faithful
-        self.table = table
-        self.root_hyp = table.share(hyp(enc.formula))
-        self.leaves: dict[Violation, ProofTree] = {}
-        # per step: the major premise of its case split and the discharges
-        self.steps: dict[int, tuple[ProofTree, tuple[Formula, ...]]] = {}
+        self.table = NodeTable()
+        self.root_hyp = self.table.share(hyp(enc.formula))
+        self.leaves: dict[Violation, tuple[ProofTree, int]] = {}
+        self.steps: dict[int, tuple] = {}
         self.leaf_count = 0
 
-    def leaf(self, viol: Violation) -> ProofTree:
+    def leaf(self, viol: Violation) -> tuple[ProofTree, int]:
         self.leaf_count += 1
-        t = self.leaves.get(viol)
-        if t is None:
-            t = self.leaves[viol] = leaf_from_violation(viol, self.enc, self.table)
-        return t
+        leaf = self.leaves.get(viol)
+        if leaf is None:
+            leaf = self.leaves[viol] = leaf_from_violation(viol, self.enc, self.table)
+        return leaf
 
-    def split(self, step: int) -> tuple[ProofTree, tuple[Formula, ...]]:
+    def split(self, step: int) -> tuple:
+        """What every case split of `step` shares: the majors of its binary
+        splits, outermost first; the suffixes of its step_occupied chain,
+        longest first; the discharges; and the outermost major's height."""
         split = self.steps.get(step)
         if split is None:
-            major = elim_chain(self.root_hyp,
-                               conjunct_path(self.enc, "step_occupied", step - 1), self.table)
+            share = self.table.share
+            path = conjunct_path(self.enc, "step_occupied", step - 1)
+            major = elim_chain(self.root_hyp, path, self.table)
+            suffixes = [major.conclusion]
+            for _ in range(self.g.n - 1):
+                suffixes.append(suffixes[-1].right)
+            majors = [major] + [share(hyp(f)) for f in suffixes[1:-1]]
             discharge = tuple(x_var(step, v) for v in range(1, self.g.n + 1))
-            split = self.steps[step] = (major, discharge)
+            # the major's longest branch: the chain and the encoding's Hyp
+            split = self.steps[step] = (majors, suffixes, discharge, len(path) + 1)
         return split
 
-    def tower(self, prefix: tuple[int, ...]) -> ProofTree:
+    def tower(self, prefix: tuple[int, ...]) -> tuple[ProofTree, int]:
+        """The refutation below `prefix` and its height with each step's
+        split counted as one node."""
         g = self.g
         if not self.faithful and len(prefix) >= 2:
             viol = prefix_violation(prefix, g)
@@ -173,81 +180,42 @@ class _CaseTower:
             if viol is None:
                 raise GraphIsHamiltonianError(prefix)
             return self.leaf(viol)
-        cases = [self.tower(prefix + (v,)) for v in range(1, g.n + 1)]
-        major, discharge = self.split(len(prefix) + 1)
-        return self.table.share(or_elim(major, cases, discharge))
+        majors, suffixes, discharge, height = self.split(len(prefix) + 1)
+        cases = []
+        for v in range(1, g.n + 1):
+            case, h = self.tower(prefix + (v,))
+            cases.append(case)
+            if h > height:
+                height = h
+        share = self.table.share
+        acc = cases[-1]
+        for m in range(g.n - 2, -1, -1):
+            acc = share(or_elim(majors[m], [cases[m], acc], (discharge[m], suffixes[m + 1])))
+        return acc, height + 1
 
 
 def build_case_tower(g: Graph, enc: PathEncoding | None = None,
-                     mode: str = "faithful",
-                     table: NodeTable | None = None) -> tuple[ProofTree, int]:
-    """Case tower over vertex choices per step; returns (proof, leaf count).
+                     mode: str = "faithful") -> tuple[ProofTree, int, int]:
+    """Case tower over vertex choices per step; returns (proof, leaf count,
+    tower height).
 
     The proof concludes `false`; its open assumptions are exactly the
-    encoding. Raises GraphIsHamiltonianError (with the witness) on the
-    first violation-free full sequence. Nodes go through `table` (a fresh
-    one when None); each step's major premise and discharges are built
+    encoding. The tower height counts each step's case split as one node,
+    however many binary splits it takes. Raises GraphIsHamiltonianError
+    (with the witness) on the first violation-free full sequence. Nodes go
+    through one `NodeTable`; each step's majors and discharges are built
     once.
     """
     if enc is None:
         enc = encode_graph(g)
-    if table is None:
-        table = NodeTable()
     faithful = resolve_mode(mode, g.n) == "faithful"
     if g.n == 1:
         # the only candidate sequence is (1); a single-vertex graph always
         # has a Hamiltonian path
         raise GraphIsHamiltonianError((1,))
-    state = _CaseTower(g, enc, faithful, table)
-    proof = state.tower(())
-    return proof, state.leaf_count
-
-
-def unfold_nary(p: ProofTree, table: NodeTable | None = None) -> ProofTree:
-    """Rewrite every n-ary case split into right-nested binary ones.
-
-    The inner splits' majors are hypotheses for suffix chains, discharged
-    by the step above; conclusions and the open assumption set are
-    preserved. Shared subproofs are transformed once, nodes left unchanged
-    are kept, and new nodes go through `table` (a fresh one when None).
-    """
-    if table is None:
-        table = NodeTable()
-    share = table.share
-    memo: dict[int, ProofTree] = {}
-    for node in iter_nodes(p):
-        src = node.premises
-        if len(src) == 1:
-            prem = (memo[id(src[0])],)
-        elif len(src) == 2:
-            prem = (memo[id(src[0])], memo[id(src[1])])
-        elif src:  # OrElimN
-            prem = tuple([memo[id(ch)] for ch in src])
-        else:
-            prem = src
-        if node.rule != OR_ELIM or len(prem) == 3:
-            # premises compare by identity, so `==` asks whether all are kept
-            if prem == src:
-                memo[id(node)] = node
-            else:
-                memo[id(node)] = share(ProofTree(node.conclusion, node.rule, prem,
-                                                 node.discharge))
-            continue
-        major, *cases = prem
-        ds = list(node.discharge)
-        k = len(cases)
-        if major.conclusion is not chain_disj(ds):
-            raise ShapeMismatchError("case split major does not match its discharges")
-
-        def suffix(m: int) -> Formula:
-            return chain_disj(ds[m:])
-
-        acc = cases[-1]
-        for m in range(k - 2, -1, -1):
-            maj_m = major if m == 0 else share(hyp(suffix(m)))
-            acc = share(or_elim(maj_m, [cases[m], acc], (ds[m], suffix(m + 1))))
-        memo[id(node)] = acc
-    return memo[id(p)]
+    state = _CaseTower(g, enc, faithful)
+    proof, height = state.tower(())
+    return proof, state.leaf_count, height
 
 
 def finalize_negation(p: ProofTree, enc: PathEncoding) -> tuple[ProofTree, Metrics]:
@@ -263,6 +231,11 @@ def finalize_negation(p: ProofTree, enc: PathEncoding) -> tuple[ProofTree, Metri
 
 @dataclass
 class BuildReport:
+    """The refutation of one graph. `tower_height` is the case tower's
+    height with each step's split counted as one node, the quantity
+    criterion 3 bounds by c*n^2; `metrics.height` counts every binary
+    split."""
+
     proof: ProofTree
     encoding: PathEncoding
     mode: str
@@ -291,18 +264,8 @@ def build_refutation(g: Graph, mode: str = "auto",
     """
     used = check_builder_cap(g.n, mode, cap)
     enc = encode_graph(g)
-    table = NodeTable()
-    tower, leaf_count = build_case_tower(g, enc, used, table)
-    heights: dict[int, int] = {}
-    for node in iter_nodes(tower):
-        h = 0
-        for q in node.premises:
-            if heights[id(q)] > h:
-                h = heights[id(q)]
-        heights[id(node)] = h + 1
-    tower_height = heights[id(tower)]
-    unfolded = unfold_nary(tower, table)
-    proof, metrics = finalize_negation(unfolded, enc)
+    tower, leaf_count, tower_height = build_case_tower(g, enc, used)
+    proof, metrics = finalize_negation(tower, enc)
     return BuildReport(
         proof=proof,
         encoding=enc,

@@ -8,8 +8,7 @@ discharge, or premise classes), the dag node becomes a separation node
 representative derivation per distinct way. Representatives sit a level
 below the class and their premise edges point at nodes of that same level,
 the one place the level-per-edge bookkeeping is slack; representatives are
-also the one exception to "at most one node per (level, formula)", which
-is why they carry an internal flag.
+also the one exception to "at most one node per (level, formula)".
 
 `cleanse` collapses every separation node to a repetition node (rule "R",
 one premise, same formula), keeping the representative of the group that
@@ -67,10 +66,6 @@ class DagNode:
     rule: str
     premises: tuple[int, ...]
     level: int
-    # representative derivation under a separation node (internal bookkeeping:
-    # exempt from the one-node-per-(level, formula) rule, premise edges stay
-    # on their own level)
-    is_rep: bool = False
 
 
 @dataclass
@@ -244,7 +239,7 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
                 premises = tuple([site_class[c] + below for c in ch])
             if rep:
                 sep_premises[cid].append(len(nodes))
-                nodes.append(DagNode(node.conclusion, node.rule, premises, level + 1, True))
+                nodes.append(DagNode(node.conclusion, node.rule, premises, level + 1))
             else:
                 nodes.append(DagNode(node.conclusion, node.rule, premises, level))
         for cid, premises in sep_premises.items():
@@ -345,7 +340,7 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
                 raise NoCoherentChoiceError(f"separation node {i} has no premises")
             # group order is first-seen over preorder occurrences, so the
             # first premise is the leftmost-origin derivation
-            node = DagNode(node.formula, REP, node.premises[:1], node.level, node.is_rep)
+            node = DagNode(node.formula, REP, node.premises[:1], node.level)
         for q in node.premises:
             if not i < q < n:
                 raise IllFormedDagError(i, "premises must come after the node")
@@ -361,7 +356,7 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
             prem = (remap[prem[0]], remap[prem[1]])
         elif prem:
             prem = tuple([remap[q] for q in prem])
-        nodes.append(DagNode(node.formula, node.rule, prem, node.level, node.is_rep))
+        nodes.append(DagNode(node.formula, node.rule, prem, node.level))
     return DagProof(nodes=nodes, root=0,
                     source_tree_weight=d.source_tree_weight,
                     had_duplicates=d.had_duplicates)

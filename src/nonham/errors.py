@@ -61,10 +61,6 @@ class WrongOpenSetError(NonhamError):
         )
 
 
-class ShapeMismatchError(NonhamError):
-    """Raised when a transform meets a proof shape it cannot rewrite."""
-
-
 class UnsupportedRuleError(NonhamError):
     """Raised when a transform meets a rule outside its supported fragment."""
 

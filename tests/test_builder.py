@@ -1,6 +1,7 @@
 """Tests for the mechanical refutation builder."""
 
 import gc
+import hashlib
 from random import Random
 
 import pytest
@@ -16,7 +17,6 @@ from nonham.builder import (
     finalize_negation,
     leaf_from_violation,
     resolve_mode,
-    unfold_nary,
 )
 from nonham.dagproof import compress_and_verify, dumps_dag
 from nonham.encoding import encode_graph
@@ -51,8 +51,9 @@ class TestLeaves:
     def test_repeat_leaf_open_set(self):
         g = empty(2)
         enc = encode_graph(g)
-        leaf = leaf_from_violation(find_violation([1, 1], g), enc)
+        leaf, height = leaf_from_violation(find_violation([1, 1], g), enc)
         m = check_tree(leaf)
+        assert m.height == height
         assert leaf.conclusion is bot()
         assert m.open_assumptions == frozenset(
             {enc.formula, x_var(1, 1), x_var(2, 1)}
@@ -61,8 +62,9 @@ class TestLeaves:
     def test_missing_edge_leaf_open_set(self):
         g = Graph(2, frozenset({(2, 1)}))
         enc = encode_graph(g)
-        leaf = leaf_from_violation(find_violation([1, 2], g), enc)
+        leaf, height = leaf_from_violation(find_violation([1, 2], g), enc)
         m = check_tree(leaf)
+        assert m.height == height
         assert m.open_assumptions == frozenset(
             {enc.formula, x_var(1, 1), x_var(2, 2)}
         )
@@ -71,7 +73,7 @@ class TestLeaves:
         g = empty(3)
         enc = encode_graph(g)
         for seq in ([1, 1, 1], [1, 2, 3], [3, 2, 2]):
-            leaf = leaf_from_violation(find_violation(seq, g), enc)
+            leaf, _ = leaf_from_violation(find_violation(seq, g), enc)
             assert is_normal(leaf)
             assert leaf.conclusion is bot()
 
@@ -79,7 +81,7 @@ class TestLeaves:
 class TestCaseTower:
     def test_faithful_leaf_count_is_n_to_the_n(self):
         for n in (2, 3):
-            tower, leaves = build_case_tower(empty(n), mode="faithful")
+            tower, leaves, _ = build_case_tower(empty(n), mode="faithful")
             assert leaves == n**n
             m = check_tree(tower)
             assert m.open_assumptions == frozenset({encode_graph(empty(n)).formula})
@@ -98,8 +100,8 @@ class TestCaseTower:
 
     def test_pruned_tower_is_smaller_but_equivalent(self):
         g = empty(3)
-        faithful, fl = build_case_tower(g, mode="faithful")
-        pruned, pl = build_case_tower(g, mode="pruned")
+        faithful, fl, _ = build_case_tower(g, mode="faithful")
+        pruned, pl, _ = build_case_tower(g, mode="pruned")
         assert pl < fl
         mf, mp = check_tree(faithful), check_tree(pruned)
         assert mf.open_assumptions == mp.open_assumptions
@@ -107,38 +109,23 @@ class TestCaseTower:
         assert mp.weight < mf.weight
 
 
-class TestUnfold:
-    def test_binary_towers_pass_through_unchanged(self):
-        tower, _ = build_case_tower(empty(2))
-        assert unfold_nary(tower) is tower
-
-    def test_unfolded_splits_are_binary(self):
-        tower, _ = build_case_tower(empty(3))
-        unfolded = unfold_nary(tower)
-        assert unfolded is not tower
-        saw_split = False
-        for node in iter_nodes(unfolded):
-            if node.rule == "OrElimN":
-                saw_split = True
-                assert len(node.premises) == 3
-        assert saw_split
-
-    def test_unfold_preserves_conclusion_and_opens(self):
-        tower, _ = build_case_tower(empty(3))
-        unfolded = unfold_nary(tower)
-        assert unfolded.conclusion is tower.conclusion
-        assert (
-            check_tree(unfolded).open_assumptions
-            == check_tree(tower).open_assumptions
-        )
+    @pytest.mark.parametrize("g, mode", [(empty(2), "faithful"), (empty(3), "faithful"),
+                                         (chain_graph(5), "pruned")],
+                             ids=["empty2", "empty3", "chain5"])
+    def test_every_split_is_binary(self, g, mode):
+        tower = build_case_tower(g, mode=mode)[0]
+        for p in (tower, build_refutation(g, mode=mode).proof):
+            splits = [node for node in iter_nodes(p) if node.rule == "OrElimN"]
+            assert splits
+            assert all(len(node.premises) == 3 for node in splits)
 
 
 class TestFinalize:
     def test_discharges_the_encoding(self):
         g = empty(2)
         enc = encode_graph(g)
-        tower, _ = build_case_tower(g, enc)
-        p, m = finalize_negation(unfold_nary(tower), enc)
+        tower, _, _ = build_case_tower(g, enc)
+        p, m = finalize_negation(tower, enc)
         assert p.conclusion is imp(enc.formula, bot())
         assert m.open_assumptions == frozenset()
         assert m == check_tree(p)
@@ -218,6 +205,29 @@ class TestBuildRefutation:
                         assert len(node.premises) == 3
                 checked += 1
         assert checked == 1 + 16
+
+    # recorded at 882e6f3, before the tower emitted binary splits itself
+    PINNED = [
+        ("empty", 2, "auto", None, "e52f0e8778023df6fbfddd9cb57da62a29b3373bca5ac1cccd00851986aeb9ea", 11, 4),
+        ("empty", 3, "auto", None, "5bb288151eaa5c269b489b6f354966a707cd14f071894d8a47b6f321a040a81d", 15, 27),
+        ("empty", 4, "auto", None, "5f68af39895b2bc30f6b7533d61187b2886310911044b246a0fbfcc8cac15621", 17, 256),
+        ("empty", 5, "auto", None, "b3c2d238e5a9d7bd0813b80ac35921434674936cae85a2da2293a41f795b2efc", 16, 25),
+        ("chain", 2, "auto", None, "e52f0e8778023df6fbfddd9cb57da62a29b3373bca5ac1cccd00851986aeb9ea", 11, 4),
+        ("chain", 3, "auto", None, "db3b95289b602b85b173a5eaf377ef1bc4fd817ef42a85640146b06ff64169b0", 15, 27),
+        ("chain", 4, "auto", None, "a9497f24224db714a60e86c8c9656475f9ce598f8a8af89364e05bc8447effd2", 17, 256),
+        ("chain", 5, "auto", None, "2cd913a1f9ef45d39a4c9e32deb0de974e8a1d7909b96b701b9c2565fcb2f586", 19, 49),
+        ("chain", 7, "pruned", 7, "fb6bbb3f0e0a15ec0d3ea7b6d014bb259ed192451cd62b3177cda80e69b2c905", 23, 139),
+        ("empty", 8, "pruned", 8, "6d2dcc6564d9609b24f551eb9e6a946877fb372293730c60696185d57c35cfb6", 18, 64),
+    ]
+
+    @pytest.mark.parametrize("family, n, mode, cap, digest, tower_height, leaf_count", PINNED,
+                             ids=[f"{row[0]}{row[1]}-{row[2]}" for row in PINNED])
+    def test_proof_bytes_match_the_recorded_digest(self, family, n, mode, cap, digest,
+                                                   tower_height, leaf_count):
+        g = (empty_graph if family == "empty" else chain_graph)(n)
+        report = build_refutation(g, mode=mode, cap=cap)
+        assert hashlib.sha256(dumps_proof(report.proof).encode()).hexdigest() == digest
+        assert (report.tower_height, report.leaf_count) == (tower_height, leaf_count)
 
     def test_pruned_pipeline_on_a_mid_size_graph(self):
         g = Graph(5, frozenset({(1, 2), (2, 3), (3, 4)}))

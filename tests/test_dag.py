@@ -588,7 +588,7 @@ def reference_compress(p):
         rec = records[ri]
         premises = tuple(position[class_record[ref]] if kind == "c" else rep_position[ref]
                          for kind, ref in rec["plan"])
-        nodes.append(DagNode(rec["formula"], rec["rule"], premises, rec["level"], rec["is_rep"]))
+        nodes.append(DagNode(rec["formula"], rec["rule"], premises, rec["level"]))
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
                    had_duplicates=any(len(occs) > 1 for occs in class_occs))
     node_of = [position[class_record[occ_class[oid]]] for oid in range(total)]
@@ -617,7 +617,7 @@ def assert_matches_reference(p):
     d, om = compress_horizontal(p)
     ref, occurrences = reference_compress(p)
     assert dumps_dag(d) == dumps_dag(ref)
-    assert [(n.level, n.is_rep) for n in d.nodes] == [(n.level, n.is_rep) for n in ref.nodes]
+    assert [n.level for n in d.nodes] == [n.level for n in ref.nodes]
     assert (d.source_tree_weight, d.had_duplicates) == (ref.source_tree_weight, ref.had_duplicates)
     assert len(om) == len(occurrences[0])
     assert coherence_failures(d, om) == reference_coherence_failures(ref, occurrences)

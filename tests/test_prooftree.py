@@ -5,7 +5,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonham.builder import unfold_nary
 from nonham.errors import IllFormedProofError, ProofFormatError
 from nonham.formulas import bot, chain_disj, conj, disj, imp, q_var
 from nonham.prooftree import (
@@ -154,9 +153,6 @@ class TestCheckerRejections:
         bad = ProofTree(A, "AndElimL", (7,), ())
         with pytest.raises(IllFormedProofError, match="not a proof object: 7"):
             list(iter_nodes(imp_intro(bad, B)))
-        # the builders' rewrites walk through the same guard
-        with pytest.raises(IllFormedProofError):
-            unfold_nary(bad)
 
     def test_path_on_a_shared_proof_reaches_the_bad_node(self):
         # the bad node sits under a subproof shared by both cases of a
