@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 
-from .builder import build_refutation, check_builder_cap
+from .builder import build_refutation, builder_limit, check_builder_cap
 from .dagproof import compress_and_verify
-from .errors import CapExceededError, NonhamError
+from .errors import NonhamError
 from .formulas import weight
 from .graphs import Graph, is_hamiltonian, random_graph
 from .implicational import translate_formula, translate_proof
@@ -193,31 +194,27 @@ def fit_rows(rows: list[BenchRow]) -> GrowthFit | None:
 
 def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
               mode: str = "auto", cap: int | None = None, log=None) -> list[BenchRow]:
-    """Rows for a family, in (n, graph) order. An n above the builder cap
-    is reported to `log` and skipped before any graph is drawn, and so is a
-    graph whose artifacts cannot be built at all; verification verdicts on
-    built artifacts live on the rows themselves. An empty n range or a
-    count below 1 raises ValueError, and a range with no n under the
-    builder cap raises the first n's CapExceededError, before any work."""
+    """Rows for an ascending sequence of n, such as a range, in (n, graph)
+    order. The n above the builder cap form a suffix of the sequence; one
+    line to `log` names its first and last n, which are skipped before any
+    graph is drawn, and a graph whose artifacts cannot be built at all is
+    logged and skipped too; verification verdicts on built artifacts live
+    on the rows themselves. An empty n range or a count below 1 raises
+    ValueError, and a range with no n under the builder cap raises the
+    first n's CapExceededError, before any work."""
     if not n_values:
         raise ValueError("empty n range")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     log = log if log is not None else sys.stderr
-    buildable, refused = [], []
-    for n in n_values:
-        try:
-            check_builder_cap(n, mode, cap)
-        except CapExceededError as exc:
-            refused.append((n, exc))
-        else:
-            buildable.append(n)
-    if not buildable:
-        raise refused[0][1]
-    for n, exc in refused:
-        print(f"bench: n={n}: {exc}", file=log)
+    check_builder_cap(n_values[0], mode, cap)
+    limit = builder_limit(mode, cap)
+    k = bisect_right(n_values, limit)
+    if k < len(n_values):
+        print(f"bench: n={n_values[k]}..{n_values[-1]} skipped: above the builder cap {limit}",
+              file=log)
     rows: list[BenchRow] = []
-    for n, g in family_graphs(family, buildable, seed=seed, count=count):
+    for n, g in family_graphs(family, n_values[:k], seed=seed, count=count):
         try:
             rows.append(pipeline_row(g, mode=mode, cap=cap))
         except NonhamError as exc:

@@ -12,10 +12,10 @@ ImpIntro, ImpElim, AndElimL/R and binary OrElimN. Stages:
 2. case tower: a case split per step over which vertex is visited,
    innermost step last, written as right-nested binary splits; the major
    premise of the outermost one extracts the step_occupied disjunction,
-   and each inner one's major is a hypothesis for the remaining suffix of
-   that chain, discharged by the split above it; in `pruned` mode a branch
-   stops as soon as its prefix already contains a violation, in `faithful`
-   mode all n^n full sequences get leaves;
+   each inner one's major assumes the right disjunct of the major above
+   it, and every split discharges the two disjuncts of its own major; in
+   `pruned` mode a branch stops as soon as its prefix already contains a
+   violation, in `faithful` mode all n^n full sequences get leaves;
 3. `finalize_negation` discharges the encoding and checks, once, that the
    resulting proof of encoding -> false is closed.
 
@@ -70,12 +70,20 @@ def resolve_mode(mode: str, n: int) -> str:
     return mode
 
 
+def builder_limit(mode: str = "auto", cap: int | None = None) -> int:
+    """The largest n `build_refutation` takes in `mode`: `cap` when one is
+    given, else the mode's cap (auto runs pruned above FAITHFUL_CAP, so its
+    limit is PRUNED_CAP)."""
+    if cap is not None:
+        return cap
+    return FAITHFUL_CAP if mode == "faithful" else PRUNED_CAP
+
+
 def check_builder_cap(n: int, mode: str = "auto", cap: int | None = None) -> str:
     """The mode `build_refutation` uses at n; refuses n above that mode's
     cap, or above `cap` when one is given."""
     used = resolve_mode(mode, n)
-    limit = cap if cap is not None else (
-        FAITHFUL_CAP if used == "faithful" else PRUNED_CAP)
+    limit = builder_limit(used, cap)
     if n > limit:
         raise CapExceededError(
             f"n={n} exceeds the {used} builder cap {limit}; "
@@ -92,18 +100,15 @@ def elim_chain(start: ProofTree, path: list[str], table: NodeTable) -> ProofTree
 
 
 def leaf_from_violation(viol: Violation, enc: PathEncoding,
-                        table: NodeTable | None = None) -> tuple[ProofTree, int]:
+                        table: NodeTable) -> tuple[ProofTree, int]:
     """Refute `false` from the two position variables a violation pins down;
     returns the proof and its height.
 
     Open assumptions: the encoding and the two variables, which the
     surrounding case tower discharges. Violations only mention positions
     inside the sequence prefix that produced them, so every variable used
-    here is discharged by an enclosing case split. Nodes go through `table`
-    (a fresh one when None).
+    here is discharged by an enclosing case split. Nodes go through `table`.
     """
-    if table is None:
-        table = NodeTable()
     share = table.share
     if isinstance(viol, Repeat):
         pos = enc.repeat_pos[(viol.v, viol.i, viol.j)]
@@ -139,7 +144,7 @@ class _CaseTower:
         self.table = NodeTable()
         self.root_hyp = self.table.share(hyp(enc.formula))
         self.leaves: dict[Violation, tuple[ProofTree, int]] = {}
-        self.steps: dict[int, tuple] = {}
+        self.steps: dict[int, tuple[list[ProofTree], int]] = {}
         self.leaf_count = 0
 
     def leaf(self, viol: Violation) -> tuple[ProofTree, int]:
@@ -149,22 +154,19 @@ class _CaseTower:
             leaf = self.leaves[viol] = leaf_from_violation(viol, self.enc, self.table)
         return leaf
 
-    def split(self, step: int) -> tuple:
+    def split(self, step: int) -> tuple[list[ProofTree], int]:
         """What every case split of `step` shares: the majors of its binary
-        splits, outermost first; the suffixes of its step_occupied chain,
-        longest first; the discharges; and the outermost major's height."""
+        splits, outermost first, and the outermost major's height. Each
+        inner major assumes the right disjunct of the one above it."""
         split = self.steps.get(step)
         if split is None:
             share = self.table.share
             path = conjunct_path(self.enc, "step_occupied", step - 1)
-            major = elim_chain(self.root_hyp, path, self.table)
-            suffixes = [major.conclusion]
-            for _ in range(self.g.n - 1):
-                suffixes.append(suffixes[-1].right)
-            majors = [major] + [share(hyp(f)) for f in suffixes[1:-1]]
-            discharge = tuple(x_var(step, v) for v in range(1, self.g.n + 1))
+            majors = [elim_chain(self.root_hyp, path, self.table)]
+            for _ in range(self.g.n - 2):
+                majors.append(share(hyp(majors[-1].conclusion.right)))
             # the major's longest branch: the chain and the encoding's Hyp
-            split = self.steps[step] = (majors, suffixes, discharge, len(path) + 1)
+            split = self.steps[step] = (majors, len(path) + 1)
         return split
 
     def tower(self, prefix: tuple[int, ...]) -> tuple[ProofTree, int]:
@@ -180,7 +182,7 @@ class _CaseTower:
             if viol is None:
                 raise GraphIsHamiltonianError(prefix)
             return self.leaf(viol)
-        majors, suffixes, discharge, height = self.split(len(prefix) + 1)
+        majors, height = self.split(len(prefix) + 1)
         cases = []
         for v in range(1, g.n + 1):
             case, h = self.tower(prefix + (v,))
@@ -190,11 +192,11 @@ class _CaseTower:
         share = self.table.share
         acc = cases[-1]
         for m in range(g.n - 2, -1, -1):
-            acc = share(or_elim(majors[m], [cases[m], acc], (discharge[m], suffixes[m + 1])))
+            acc = share(or_elim(majors[m], cases[m], acc))
         return acc, height + 1
 
 
-def build_case_tower(g: Graph, enc: PathEncoding | None = None,
+def build_case_tower(g: Graph, enc: PathEncoding,
                      mode: str = "faithful") -> tuple[ProofTree, int, int]:
     """Case tower over vertex choices per step; returns (proof, leaf count,
     tower height).
@@ -203,11 +205,8 @@ def build_case_tower(g: Graph, enc: PathEncoding | None = None,
     encoding. The tower height counts each step's case split as one node,
     however many binary splits it takes. Raises GraphIsHamiltonianError
     (with the witness) on the first violation-free full sequence. Nodes go
-    through one `NodeTable`; each step's majors and discharges are built
-    once.
+    through one `NodeTable`; each step's majors are built once.
     """
-    if enc is None:
-        enc = encode_graph(g)
     faithful = resolve_mode(mode, g.n) == "faithful"
     if g.n == 1:
         # the only candidate sequence is (1); a single-vertex graph always

@@ -85,7 +85,8 @@ class DagProof:
 class OriginMap:
     """Sites -> dag nodes. A site is one proof object at one level; sites
     are numbered level by level, and within a level in preorder of their
-    first occurrence (site 0 is the root), so `level_of` never decreases.
+    first occurrence (site 0 is the root), so the levels of the sites'
+    nodes never decrease.
 
     `children_of` lists a site's premise sites in premise order, `mult`
     counts its tree occurrences, and `group_of` records which derivation
@@ -95,7 +96,6 @@ class OriginMap:
     """
 
     node_of: list[int]
-    level_of: list[int]
     group_of: list[int]
     children_of: list[list[int]]
     mult: list[int]
@@ -143,14 +143,12 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
 
     # merge classes keyed by (level, formula); ids run level by level, in
     # order of first site
-    site_level: list[int] = []
     site_class: list[int] = []
     class_first: list[int] = []
     class_size: list[int] = []
     class_starts: list[int] = []
     for level in range(len(starts) - 1):
         lo, hi = starts[level], starts[level + 1]
-        site_level += [level] * (hi - lo)
         class_starts.append(len(class_first))
         ids: dict[Formula, int] = {}
         for s in range(lo, hi):
@@ -248,7 +246,7 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
 
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
                    had_duplicates=len(class_first) < occurrences)
-    origin = OriginMap(node_of=node_of, level_of=site_level, group_of=group_of,
+    origin = OriginMap(node_of=node_of, group_of=group_of,
                        children_of=site_children, mult=mult)
     return dag, origin
 

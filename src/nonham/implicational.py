@@ -12,10 +12,12 @@ by implicational axiom schemes:
 
 The first two disjunction axioms are created eagerly with the marker; case
 axioms only when a proof transformation needs that (disjunction, target)
-pair. A proof in the {Hyp, ImpIntro, ImpElim, AndElimL/R, binary OrElimN}
-fragment maps rule by rule to {Hyp, ImpIntro, ImpElim}: conjunction
-eliminations become applications of projection axioms, binary case splits
-become three ImpElims against a case axiom. The axioms used anywhere in
+pair. A proof in the calculus of `prooftree` (Hyp, ImpIntro, ImpElim,
+AndElimL/R and OrElimN, whose case splits are binary) maps rule by rule to
+{Hyp, ImpIntro, ImpElim}: conjunction eliminations become applications of
+projection axioms, case splits become three ImpElims against a case axiom.
+Proofs handed in are not assumed checked, so a split with other than two
+cases is refused rather than mistranslated. The axioms used anywhere in
 the result are finally discharged and folded in front of the conclusion,
 ordered by first use in a preorder walk of the source proof, so the
 translated proof is closed whenever the source is.

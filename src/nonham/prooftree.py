@@ -11,8 +11,8 @@ Rules (premise order is fixed and checked):
 * ImpIntro(p; [a])         - concludes a -> c from p : c, discharging a
 * ImpElim(maj, min)        - maj : a -> c, min : a, concludes c
 * AndElimL / AndElimR(p)   - p : a & b, concludes a / b
-* OrElimN(maj, c1..ck; [d1..dk]) - maj proves the right-nested chain
-  d1 | (d2 | ... | dk), each case ci proves the common conclusion under di
+* OrElimN(maj, c1, c2; [d1, d2]) - binary: maj proves d1 | d2, and
+  each case ci proves the common conclusion under di
 
 `check_tree` is the kernel: it revalidates every node locally and returns
 size metrics plus the open assumption set. Builders construct proofs
@@ -36,8 +36,8 @@ from .errors import IllFormedProofError, ProofFormatError
 from .formulas import (
     AND,
     IMP,
+    OR,
     Formula,
-    chain_disj,
     formulas_to_table,
     imp,
     subformulas,
@@ -125,17 +125,15 @@ def and_elim_r(premise: ProofTree) -> ProofTree:
     return ProofTree(pc.right, AND_ELIM_R, (premise,))
 
 
-def or_elim(major: ProofTree, cases: list[ProofTree],
-            disjuncts: tuple[Formula, ...]) -> ProofTree:
-    if len(cases) < 2 or len(cases) != len(disjuncts):
-        raise IllFormedProofError((), "case count must be >= 2 and match disjuncts")
-    if major.conclusion is not chain_disj(list(disjuncts)):
-        raise IllFormedProofError((), "major premise is not the disjunction chain")
-    concl = cases[0].conclusion
-    for c in cases[1:]:
-        if c.conclusion is not concl:
-            raise IllFormedProofError((), "cases disagree on the conclusion")
-    return ProofTree(concl, OR_ELIM, (major, *cases), tuple(disjuncts))
+def or_elim(major: ProofTree, left: ProofTree, right: ProofTree) -> ProofTree:
+    """Case split on the major's disjunction a | b; `left` proves the
+    conclusion under a and `right` under b, which the node discharges."""
+    mc = major.conclusion
+    if mc.kind != OR:
+        raise IllFormedProofError((), "major premise of OrElimN is not a disjunction")
+    if left.conclusion is not right.conclusion:
+        raise IllFormedProofError((), "cases disagree on the conclusion")
+    return ProofTree(left.conclusion, OR_ELIM, (major, left, right), (mc.left, mc.right))
 
 
 @dataclass(frozen=True)
@@ -188,16 +186,13 @@ def _local_fault(node: ProofTree) -> str | None:
         if pc.kind != AND or pc.right is not c:
             return "AndElimR premise is not a conjunction with this right part"
     elif r == OR_ELIM:
-        k = len(prem) - 1
-        if k < 2:
-            return "OrElimN needs a major premise and at least two cases"
-        if len(dis) != k:
-            return "OrElimN discharge list must match the case count"
-        if prem[0].conclusion is not chain_disj(list(dis)):
-            return "OrElimN major premise is not the discharge chain"
-        for case in prem[1:]:
-            if case.conclusion is not c:
-                return "OrElimN case conclusion differs from the node conclusion"
+        if len(prem) != 3 or len(dis) != 2:
+            return "OrElimN needs a major premise, two cases and two discharges"
+        mc = prem[0].conclusion
+        if mc.kind != OR or mc.left is not dis[0] or mc.right is not dis[1]:
+            return "OrElimN major premise is not the disjunction of its discharges"
+        if prem[1].conclusion is not c or prem[2].conclusion is not c:
+            return "OrElimN case conclusion differs from the node conclusion"
     else:
         return f"unknown rule {r!r}"
     return None
@@ -278,7 +273,7 @@ def check_tree(p: ProofTree) -> Metrics:
 
     `_local_fault` has fixed each node's arity before its sizes are read:
     one premise for ImpIntro and the conjunction eliminations, two for
-    ImpElim, three or more for OrElimN."""
+    ImpElim, three for the binary OrElimN."""
     hyps = HypothesisBits()
     # per distinct node: (open mask, height, occurrence weight)
     info: dict[int, tuple[int, int, int]] = {}
@@ -305,12 +300,14 @@ def check_tree(p: ProofTree) -> Metrics:
                 height = h
             weight += w
         else:  # OrElimN: each case drops its own discharge
-            for q, d in zip(prem[1:], node.discharge):
-                m, h, w = info[id(q)]
-                mask |= hyps.drop(m, d)
-                if h > height:
-                    height = h
-                weight += w
+            m1, h1, w1 = info[id(prem[1])]
+            m2, h2, w2 = info[id(prem[2])]
+            mask |= hyps.drop(m1, node.discharge[0]) | hyps.drop(m2, node.discharge[1])
+            if h1 > height:
+                height = h1
+            if h2 > height:
+                height = h2
+            weight += w1 + w2
         info[id(node)] = (mask, height + 1, weight + f.weight)
 
     mask, height, weight = info[id(p)]

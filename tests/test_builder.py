@@ -51,7 +51,7 @@ class TestLeaves:
     def test_repeat_leaf_open_set(self):
         g = empty(2)
         enc = encode_graph(g)
-        leaf, height = leaf_from_violation(find_violation([1, 1], g), enc)
+        leaf, height = leaf_from_violation(find_violation([1, 1], g), enc, NodeTable())
         m = check_tree(leaf)
         assert m.height == height
         assert leaf.conclusion is bot()
@@ -62,7 +62,7 @@ class TestLeaves:
     def test_missing_edge_leaf_open_set(self):
         g = Graph(2, frozenset({(2, 1)}))
         enc = encode_graph(g)
-        leaf, height = leaf_from_violation(find_violation([1, 2], g), enc)
+        leaf, height = leaf_from_violation(find_violation([1, 2], g), enc, NodeTable())
         m = check_tree(leaf)
         assert m.height == height
         assert m.open_assumptions == frozenset(
@@ -73,7 +73,7 @@ class TestLeaves:
         g = empty(3)
         enc = encode_graph(g)
         for seq in ([1, 1, 1], [1, 2, 3], [3, 2, 2]):
-            leaf, _ = leaf_from_violation(find_violation(seq, g), enc)
+            leaf, _ = leaf_from_violation(find_violation(seq, g), enc, NodeTable())
             assert is_normal(leaf)
             assert leaf.conclusion is bot()
 
@@ -81,7 +81,8 @@ class TestLeaves:
 class TestCaseTower:
     def test_faithful_leaf_count_is_n_to_the_n(self):
         for n in (2, 3):
-            tower, leaves, _ = build_case_tower(empty(n), mode="faithful")
+            g = empty(n)
+            tower, leaves, _ = build_case_tower(g, encode_graph(g), mode="faithful")
             assert leaves == n**n
             m = check_tree(tower)
             assert m.open_assumptions == frozenset({encode_graph(empty(n)).formula})
@@ -89,19 +90,19 @@ class TestCaseTower:
 
     def test_single_vertex_graph_is_hamiltonian(self):
         with pytest.raises(GraphIsHamiltonianError) as err:
-            build_case_tower(empty(1))
+            build_case_tower(empty(1), encode_graph(empty(1)))
         assert err.value.witness == (1,)
 
     def test_hamiltonian_graph_raises_with_valid_witness(self):
         g = Graph(3, frozenset({(1, 2), (2, 3)}))
         with pytest.raises(GraphIsHamiltonianError) as err:
-            build_case_tower(g)
+            build_case_tower(g, encode_graph(g))
         assert find_violation(err.value.witness, g) is None
 
     def test_pruned_tower_is_smaller_but_equivalent(self):
         g = empty(3)
-        faithful, fl, _ = build_case_tower(g, mode="faithful")
-        pruned, pl, _ = build_case_tower(g, mode="pruned")
+        faithful, fl, _ = build_case_tower(g, encode_graph(g), mode="faithful")
+        pruned, pl, _ = build_case_tower(g, encode_graph(g), mode="pruned")
         assert pl < fl
         mf, mp = check_tree(faithful), check_tree(pruned)
         assert mf.open_assumptions == mp.open_assumptions
@@ -113,7 +114,7 @@ class TestCaseTower:
                                          (chain_graph(5), "pruned")],
                              ids=["empty2", "empty3", "chain5"])
     def test_every_split_is_binary(self, g, mode):
-        tower = build_case_tower(g, mode=mode)[0]
+        tower = build_case_tower(g, encode_graph(g), mode=mode)[0]
         for p in (tower, build_refutation(g, mode=mode).proof):
             splits = [node for node in iter_nodes(p) if node.rule == "OrElimN"]
             assert splits

@@ -15,8 +15,16 @@ from nonham.cli import REPORT_TEXT_LIMIT, main
 from nonham.dagproof import compress_and_verify, compress_horizontal
 from nonham.encoding import ENCODE_CAP
 from nonham.errors import NonhamError
-from nonham.formulas import imp, q_var
-from nonham.prooftree import check_tree, hyp, imp_elim, imp_intro, dumps_proof, loads_proof
+from nonham.formulas import chain_disj, imp, q_var
+from nonham.prooftree import (
+    ProofTree,
+    check_tree,
+    dumps_proof,
+    hyp,
+    imp_elim,
+    imp_intro,
+    loads_proof,
+)
 
 
 def write_graph(path, n, edges):
@@ -169,6 +177,21 @@ class TestPipelineChain:
         assert main(["verify", str(path)]) == 4
         assert "open assumptions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "translate"])
+    def test_three_case_split_exits_4(self, command, tmp_path, capsys):
+        # the calculus has binary splits only; the kernel refuses a k-way
+        # one before any command reads the proof further
+        a, b, c, d = (q_var(name) for name in "abcd")
+        chain = chain_disj([a, b, c])
+        cases = [imp_elim(hyp(imp(x, d)), hyp(x)) for x in (a, b, c)]
+        split = ProofTree(d, "OrElimN", (hyp(chain), *cases), (a, b, c))
+        path = tmp_path / "split3.json"
+        path.write_text(dumps_proof(split), encoding="utf-8")
+        assert main([command, str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "two cases" in captured.err
+
     def test_verify_corrupted_artifact_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text('[{"id": 0}]', encoding="utf-8")
@@ -315,6 +338,34 @@ class TestBench:
             "bench", "--family", "empty", "--n-min", "7", "--n-max", "8",
             "--mode", "pruned",
         ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n=7 exceeds the pruned builder cap 6; pass cap=7 to run anyway\n"
+        )
+
+    def test_wide_range_refuses_its_suffix_in_one_line(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main([
+            "bench", "--family", "empty", "--n-min", "5", "--n-max", "1000000000",
+            "--out", str(tmp_path / "rows.csv"), "--json",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rows"] == 2
+        assert captured.err == (
+            "bench: n=7..1000000000 skipped: above the builder cap 6\n"
+        )
+
+    def test_wide_range_over_the_builder_cap_exits_2(self, capsys):
+        start = time.perf_counter()
+        code = main([
+            "bench", "--family", "empty", "--n-min", "7", "--n-max", "1000000000",
+            "--mode", "pruned",
+        ])
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

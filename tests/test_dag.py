@@ -190,11 +190,13 @@ class TestCompression:
                 occurrences += 1
                 stack.extend(node.premises)
             assert len(om) == sum(om.mult) == occurrences
-            assert om.level_of[0] == 0 and om.mult[0] == 1 and om.group_of[0] == 0
+            assert d.nodes[om.node_of[0]].level == 0
+            assert om.mult[0] == 1 and om.group_of[0] == 0
             for s in range(len(om.mult)):
-                assert d.nodes[om.node_of[s]].level == om.level_of[s]
+                level = d.nodes[om.node_of[s]].level
                 assert om.group_of[s] >= 0 and om.mult[s] >= 1
-                assert all(om.level_of[c] == om.level_of[s] + 1 for c in om.children_of[s])
+                assert all(d.nodes[om.node_of[c]].level == level + 1
+                           for c in om.children_of[s])
 
 
 class TestPipelineOutcomes:
@@ -686,7 +688,7 @@ class TestLevelOrder:
     @given(st.one_of(shared_proofs(atoms=ATOMS[:2]), implicational_proofs()))
     @settings(max_examples=200)
     def test_sites_run_by_level_then_first_occurrence(self, p):
-        _, om = compress_horizontal(p)
+        d, om = compress_horizontal(p)
         _, (node_of, _, group_of) = reference_compress(p)
         occurrences = preorder_occurrences(p)
         first: dict[tuple[int, int], int] = {}  # (id(node), level) -> first occurrence
@@ -697,8 +699,9 @@ class TestLevelOrder:
             count[key] = count.get(key, 0) + 1
         expected = sorted(first, key=lambda key: (key[1], first[key]))
         site = {key: s for s, key in enumerate(expected)}
-        assert om.level_of == [level for _, level in expected]
-        assert all(a <= b for a, b in zip(om.level_of, om.level_of[1:]))
+        levels = [d.nodes[n].level for n in om.node_of]
+        assert levels == [level for _, level in expected]
+        assert all(a <= b for a, b in zip(levels, levels[1:]))
         for s, key in enumerate(expected):
             oid = first[key]
             assert om.mult[s] == count[key]

@@ -196,7 +196,7 @@ class TestProofTranslation:
 
     def test_binary_case_split_translates(self):
         d = disj(A, A)
-        p = imp_intro(or_elim(hyp(d), [hyp(A), hyp(A)], (A, A)), d)
+        p = imp_intro(or_elim(hyp(d), hyp(A), hyp(A)), d)
         t = translate_formula(p.conclusion)
         q = translate_proof(p, t)
         m = check_tree(q)
@@ -225,9 +225,11 @@ class TestProofTranslation:
             # nodes built by hand under rule names the calculus does not have
             ProofTree(conj(A, B), "AndIntro", (hyp(A), hyp(B))),
             ProofTree(disj(A, B), "OrIntroL", (hyp(A),)),
-            or_elim(
-                hyp(chain_disj([A, B, C])),
-                [imp_elim(hyp(imp(x, C)), hyp(x)) for x in (A, B, C)],
+            ProofTree(
+                C,
+                "OrElimN",
+                (hyp(chain_disj([A, B, C])),
+                 *[imp_elim(hyp(imp(x, C)), hyp(x)) for x in (A, B, C)]),
                 (A, B, C),
             ),
         ],

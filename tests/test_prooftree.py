@@ -58,24 +58,23 @@ class TestConstructorsAndChecker:
 
     def test_binary_or_elim(self):
         major = hyp(disj(A, A))
-        p = imp_intro(or_elim(major, [hyp(A), hyp(A)], (A, A)), disj(A, A))
+        p = imp_intro(or_elim(major, hyp(A), hyp(A)), disj(A, A))
         m = check_tree(p)
         assert p.conclusion is imp(disj(A, A), A)
         assert m.open_assumptions == frozenset()
 
     def test_three_case_or_elim(self):
+        # a k-way split over a chain is not a rule: splits are binary
         chain = chain_disj([A, B, C])
         cases = [imp_elim(hyp(imp(x, D)), hyp(x)) for x in (A, B, C)]
-        p = or_elim(hyp(chain), cases, (A, B, C))
-        m = check_tree(p)
-        assert p.conclusion is D
-        assert m.open_assumptions == frozenset(
-            {chain, imp(A, D), imp(B, D), imp(C, D)}
-        )
+        p = ProofTree(D, "OrElimN", (hyp(chain), *cases), (A, B, C))
+        with pytest.raises(IllFormedProofError, match="two cases") as err:
+            check_tree(p)
+        assert err.value.path == ()
 
     def test_shared_subproof_counts_per_occurrence(self):
         leaf = hyp(A)
-        p = or_elim(hyp(disj(A, A)), [leaf, leaf], (A, A))
+        p = or_elim(hyp(disj(A, A)), leaf, leaf)
         m = check_tree(p)
         assert m.weight == disj(A, A).weight + 3 * A.weight
         assert m.distinct_formula_weight == disj(A, A).weight + A.weight
@@ -100,13 +99,13 @@ class TestFactoryRejections:
             and_elim_r(hyp(imp(A, B)))
 
     def test_or_elim_validations(self):
-        major = hyp(disj(A, B))
-        with pytest.raises(IllFormedProofError):
-            or_elim(major, [hyp(A)], (A,))
-        with pytest.raises(IllFormedProofError):
-            or_elim(major, [hyp(C), hyp(C)], (A, C))
-        with pytest.raises(IllFormedProofError):
-            or_elim(major, [hyp(A), hyp(B)], (A, B))
+        with pytest.raises(IllFormedProofError, match="not a disjunction"):
+            or_elim(hyp(conj(A, B)), hyp(C), hyp(C))
+        with pytest.raises(IllFormedProofError, match="disagree"):
+            or_elim(hyp(disj(A, B)), hyp(A), hyp(B))
+        p = or_elim(hyp(disj(A, B)), hyp(C), hyp(C))
+        assert p.discharge == (A, B)
+        assert check_tree(p).open_assumptions == frozenset({disj(A, B), C})
 
 
 class TestCheckerRejections:
@@ -160,7 +159,7 @@ class TestCheckerRejections:
         bad = ProofTree(B, "ImpElim", (hyp(imp(A, B)), hyp(B)), ())
         p = imp_intro(bad, A)
         for _ in range(30):
-            p = imp_intro(or_elim(hyp(disj(C, C)), [p, p], (C, C)), disj(C, C))
+            p = imp_intro(or_elim(hyp(disj(C, C)), p, p), disj(C, C))
         with pytest.raises(IllFormedProofError) as err:
             check_tree(p)
         node = p
@@ -200,7 +199,7 @@ def edit_node(doc, pos, **fields):
 
 class TestJson:
     def test_round_trip_preserves_check(self):
-        p = imp_intro(or_elim(hyp(disj(A, A)), [hyp(A), hyp(A)], (A, A)), disj(A, A))
+        p = imp_intro(or_elim(hyp(disj(A, A)), hyp(A), hyp(A)), disj(A, A))
         text = dumps_proof(p)
         q = loads_proof(text)
         assert q.conclusion is p.conclusion
@@ -230,7 +229,7 @@ class TestJson:
 
     def test_shared_premises_stay_shared(self):
         leaf = hyp(A)
-        data = proof_to_json(or_elim(hyp(disj(A, A)), [leaf, leaf], (A, A)))
+        data = proof_to_json(or_elim(hyp(disj(A, A)), leaf, leaf))
         assert len(data["nodes"]) == 3
         rebuilt = proof_from_json(data)
         assert rebuilt.premises[1] is rebuilt.premises[2]
@@ -396,27 +395,22 @@ def reference_open_set(p):
 @st.composite
 def wide_proofs(draw):
     """Proofs over 70 atoms that reuse earlier subproofs and split cases
-    two, three or four ways, with discharges that are often vacuous."""
+    two ways, with discharges that are often vacuous."""
     atoms = st.sampled_from(WIDE_POOL)
     pool = [hyp(draw(atoms)) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(0, 12))):
         sub = draw(st.sampled_from(pool))
-        step = draw(st.integers(0, 3))
+        step = draw(st.integers(0, 2))
         if step == 0:
             new = imp_intro(sub, draw(st.sampled_from([*WIDE_POOL[:3], *(
                 n.conclusion for n in iter_nodes(sub) if n.rule == "Hyp")])))
         elif step == 1:
             new = imp_elim(hyp(imp(sub.conclusion, draw(atoms))), sub)
-        elif step == 2:
+        else:
             other = draw(st.sampled_from(pool))
             d1, d2 = draw(atoms), draw(atoms)
             case2 = imp_elim(hyp(imp(other.conclusion, sub.conclusion)), other)
-            new = or_elim(hyp(disj(d1, d2)), [sub, case2], (d1, d2))
-        else:
-            # every case after the first uses its own discharge
-            ds = [draw(atoms) for _ in range(draw(st.integers(3, 4)))]
-            cases = [sub] + [imp_elim(hyp(imp(d, sub.conclusion)), hyp(d)) for d in ds[1:]]
-            new = or_elim(hyp(chain_disj(ds)), cases, tuple(ds))
+            new = or_elim(hyp(disj(d1, d2)), sub, case2)
         pool.append(new)
     return pool[-1]
 
@@ -445,12 +439,12 @@ class TestOpenSetMasks:
 
     def test_or_elim_discharges_per_case(self):
         case_b = imp_elim(hyp(imp(B, C)), hyp(B))
-        p = or_elim(hyp(disj(A, B)), [imp_elim(hyp(imp(A, C)), hyp(A)), case_b], (A, B))
+        p = or_elim(hyp(disj(A, B)), imp_elim(hyp(imp(A, C)), hyp(A)), case_b)
         assert check_tree(p).open_assumptions == frozenset({disj(A, B), imp(A, C), imp(B, C)})
         # a case's discharge leaves the major and the other cases alone
         major = imp_elim(imp_elim(hyp(imp(A, imp(B, disj(A, B)))), hyp(A)), hyp(B))
         case_a = imp_elim(imp_elim(hyp(imp(A, imp(B, C))), hyp(A)), hyp(B))
-        q = or_elim(major, [case_a, case_b], (A, B))
+        q = or_elim(major, case_a, case_b)
         assert check_tree(q).open_assumptions == frozenset(
             {imp(A, imp(B, disj(A, B))), A, B, imp(A, imp(B, C)), imp(B, C)})
 
