@@ -193,10 +193,10 @@ def fit_rows(rows: list[BenchRow]) -> GrowthFit | None:
 
 
 def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
-              mode: str = "auto", cap: int | None = None, log=None) -> list[BenchRow]:
+              mode: str = "auto", cap: int | None = None) -> list[BenchRow]:
     """Rows for an ascending sequence of n, such as a range, in (n, graph)
     order. The n above the builder cap form a suffix of the sequence; one
-    line to `log` names its first and last n, which are skipped before any
+    line to stderr names its first and last n, which are skipped before any
     graph is drawn, and a graph whose artifacts cannot be built at all is
     logged and skipped too; verification verdicts on built artifacts live
     on the rows themselves. An empty n range or a count below 1 raises
@@ -206,19 +206,18 @@ def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
         raise ValueError("empty n range")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    log = log if log is not None else sys.stderr
     check_builder_cap(n_values[0], mode, cap)
     limit = builder_limit(mode, cap)
     k = bisect_right(n_values, limit)
     if k < len(n_values):
         print(f"bench: n={n_values[k]}..{n_values[-1]} skipped: above the builder cap {limit}",
-              file=log)
+              file=sys.stderr)
     rows: list[BenchRow] = []
     for n, g in family_graphs(family, n_values[:k], seed=seed, count=count):
         try:
             rows.append(pipeline_row(g, mode=mode, cap=cap))
         except NonhamError as exc:
-            print(f"bench: n={n} graph_id={g.graph_id}: {exc}", file=log)
+            print(f"bench: n={n} graph_id={g.graph_id}: {exc}", file=sys.stderr)
     return rows
 
 

@@ -196,8 +196,7 @@ class _CaseTower:
         return acc, height + 1
 
 
-def build_case_tower(g: Graph, enc: PathEncoding,
-                     mode: str = "faithful") -> tuple[ProofTree, int, int]:
+def build_case_tower(g: Graph, enc: PathEncoding, mode: str) -> tuple[ProofTree, int, int]:
     """Case tower over vertex choices per step; returns (proof, leaf count,
     tower height).
 

@@ -376,25 +376,29 @@ def _structure_check(d: DagProof):
                 raise IllFormedDagError(i, "premises must come after the node")
 
 
-def verify_dag(d: DagProof) -> Metrics:
-    """Independent bottom-up verification of a cleansed dag proof.
+def _measure(d: DagProof) -> Metrics:
+    """Independent bottom-up check of a cleansed dag proof, in one backward
+    pass that also measures it; `open_assumptions` is the root's open set.
 
     Rejects separation nodes outright; repetition nodes are transparent for
-    both the formula and the open-assumption set. Requires a closed proof.
-    Premise ids must strictly follow the node (the serialized order), which
-    makes acyclicity a local check. Open sets are memoized per node, as
-    `HypothesisBits` masks; on dags this is what makes verification
-    feasible.
+    both the formula and the open-assumption set. Premise ids must strictly
+    follow the node (the serialized order), which makes acyclicity a local
+    check. Open sets are memoized per node, as `HypothesisBits` masks; on
+    dags this is what makes verification feasible.
     """
     _structure_check(d)
     n = len(d.nodes)
     hyps = HypothesisBits()
     opens = [0] * n
     heights = [0] * n
+    weight = 0
+    formulas: set[Formula] = set()
     for i in range(n - 1, -1, -1):
         node = d.nodes[i]
         prem = node.premises
         f = node.formula
+        weight += f.weight
+        formulas.add(f)
         if node.rule == SEP:
             raise IllFormedDagError(i, "separation node in a cleansed dag")
         if node.rule == HYP:
@@ -430,15 +434,21 @@ def verify_dag(d: DagProof) -> Metrics:
         opens[i] = opens[maj] | opens[mn]
         heights[i] = 1 + max(heights[maj], heights[mn])
 
-    if opens[d.root]:
-        raise OpenAssumptionsError(hyps.formulas(opens[d.root]))
-    formulas = {node.formula for node in d.nodes}
     return Metrics(
         height=heights[d.root],
-        weight=sum(node.formula.weight for node in d.nodes),
+        weight=weight,
         distinct_formula_weight=sum(f.weight for f in formulas),
-        open_assumptions=frozenset(),
+        open_assumptions=hyps.formulas(opens[d.root]),
     )
+
+
+def verify_dag(d: DagProof) -> Metrics:
+    """Independent verification of a cleansed dag proof by `_measure`'s
+    rules; an open root raises OpenAssumptionsError with its open set."""
+    metrics = _measure(d)
+    if metrics.open_assumptions:
+        raise OpenAssumptionsError(metrics.open_assumptions)
+    return metrics
 
 
 def dag_height(d: DagProof) -> int:
@@ -559,11 +569,5 @@ def compress_and_verify(p: ProofTree) -> Compression:
     cleansed = loads_dag(text)
     if cleansed.conclusion is not p.conclusion:
         raise IllFormedDagError(cleansed.root, "conclusion drifted from the source proof")
-    try:
-        metrics = verify_dag(cleansed)
-        weight, height, open_set = metrics.weight, metrics.height, frozenset()
-    except OpenAssumptionsError as exc:
-        weight = sum(node.formula.weight for node in cleansed.nodes)
-        height = dag_height(cleansed)
-        open_set = exc.open_set
-    return Compression(dag, cleansed, text, incoherent, weight, height, open_set)
+    m = _measure(cleansed)
+    return Compression(dag, cleansed, text, incoherent, m.weight, m.height, m.open_assumptions)

@@ -253,7 +253,10 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     per graph. The first part (coverage, true only on the n! permutations)
     is evaluated on each block 64 rows per word; each hit is decoded from
     its block and offset into a vertex sequence and buffered, and the
-    buffer is narrowed part by part whenever it fills or the scan ends.
+    buffer is narrowed part by part whenever it fills or the scan ends; the
+    scan stops at the first narrowing with a surviving row. The buffer only
+    fills mid-scan when n! > `_CHUNK` (n >= 8), so at n <= 7 a Hamiltonian
+    graph pays for the whole scan.
     """
     check_sat_cap(g.n, cap)
     enc = encode_graph(g)

@@ -51,18 +51,6 @@ class Graph:
                 gid |= 1 << i
         return gid
 
-    @classmethod
-    def from_id(cls, n: int, graph_id: int) -> "Graph":
-        pairs = ordered_pairs(n)
-        if not 0 <= graph_id < (1 << len(pairs)):
-            raise ValueError(f"graph id {graph_id} out of range for n={n}")
-        return cls(n, frozenset(p for i, p in enumerate(pairs) if graph_id >> i & 1))
-
-    def to_text(self) -> str:
-        lines = [f"{self.n} {len(self.edges)}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
-        return "\n".join(lines) + "\n"
-
 
 _INTEGER = re.compile(r"-?[0-9]+")
 

@@ -139,14 +139,13 @@ class Translation:
     def is_axiom(self, f: Formula) -> bool:
         return f in self._axiom_set
 
-    def folded_weight(self, axioms: list[Formula] | None = None) -> int:
-        """Weight of the translated goal with the axioms (all of them by
-        default) folded in front as antecedents, without building the fold:
-        each `imp(ax, out)` adds `ax.weight + 1`."""
+    def folded_weight(self) -> int:
+        """Weight of the translated goal with every axiom folded in front as
+        an antecedent, without building the fold: each `imp(ax, out)` adds
+        `ax.weight + 1`."""
         if self.star_root is None:
             raise ValueError("translation not initialized")
-        folded = self.axioms if axioms is None else axioms
-        return self.star_root.weight + sum(ax.weight + 1 for ax in folded)
+        return self.star_root.weight + sum(ax.weight + 1 for ax in self.axioms)
 
 
 def translate_formula(gamma: Formula) -> Translation:

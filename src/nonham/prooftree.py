@@ -327,11 +327,9 @@ def is_normal(p: ProofTree) -> bool:
     return True
 
 
-def subformula_ok(p: ProofTree, open_assumptions: frozenset[Formula] | None = None) -> bool:
+def subformula_ok(p: ProofTree, open_assumptions: frozenset[Formula]) -> bool:
     """Every node formula is a subformula of the conclusion, an open
-    assumption, or a discharged assumption."""
-    if open_assumptions is None:
-        open_assumptions = check_tree(p).open_assumptions
+    assumption (as `check_tree` reports them), or a discharged assumption."""
     roots: set[Formula] = {p.conclusion}
     roots |= open_assumptions
     node_formulas: list[Formula] = []

@@ -2,9 +2,10 @@
 
 They are the plain versions of what `nonham` does faster: the full truth
 table and the n^n vertex-sequence table as bool and int rows, a formula's
-truth value under one assignment, the Hamiltonian path search as a scan
-over every permutation, the translated goal's axiom fold built formula by
-formula, and a tree proof embedded as a dag with one node per occurrence.
+truth value under one assignment, a graph rebuilt from its id and written
+as text, the Hamiltonian path search as a scan over every permutation, the
+translated goal's axiom fold built formula by formula, and a tree proof
+embedded as a dag with one node per occurrence.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 from nonham.dagproof import DagNode, DagProof
 from nonham.errors import NonhamError, UnsupportedRuleError
 from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas
-from nonham.graphs import Graph
+from nonham.graphs import Graph, ordered_pairs
 from nonham.implicational import Translation
 from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree
 
@@ -40,6 +41,22 @@ def bit_block(nvars: int, lo: int, hi: int) -> np.ndarray:
     for pos in range(nvars):
         out[:, pos] = (idx >> (nvars - 1 - pos)) & 1
     return out
+
+
+def graph_from_id(n: int, graph_id: int) -> Graph:
+    """The graph whose `graph_id` is graph_id: bit i set iff pair i of
+    `ordered_pairs(n)` is an edge."""
+    pairs = ordered_pairs(n)
+    if not 0 <= graph_id < (1 << len(pairs)):
+        raise ValueError(f"graph id {graph_id} out of range for n={n}")
+    return Graph(n, frozenset(p for i, p in enumerate(pairs) if graph_id >> i & 1))
+
+
+def graph_to_text(g: Graph) -> str:
+    """The `n m` edge-list text that `parse_graph` reads, edges sorted."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_path(g: Graph):

@@ -1,6 +1,5 @@
 """Tests for the pipeline benchmark: families, rows, CSV, growth fit."""
 
-import io
 import math
 import time
 
@@ -127,12 +126,12 @@ class TestRunBench:
         fit = fit_rows(rows)
         assert fit is not None and fit.points == 3
 
-    def test_unbuildable_graphs_are_logged_and_skipped(self):
-        log = io.StringIO()
-        rows = run_bench("empty", [2, 7], mode="pruned", log=log)
+    def test_unbuildable_graphs_are_logged_and_skipped(self, capsys):
+        rows = run_bench("empty", [2, 7], mode="pruned")
         assert [r.n for r in rows] == [2]
-        assert "n=7" in log.getvalue()
-        assert "cap" in log.getvalue()
+        err = capsys.readouterr().err
+        assert "n=7" in err
+        assert "cap" in err
 
     def test_oversized_n_is_skipped_before_drawing_graphs(self):
         # drawing a non-Hamiltonian random graph at n=12 runs a 12! path
@@ -142,24 +141,22 @@ class TestRunBench:
             run_bench("random", [12])
         assert time.perf_counter() - start < 1.0
 
-    def test_open_translated_proof_is_refused(self, monkeypatch):
+    def test_open_translated_proof_is_refused(self, monkeypatch, capsys):
         monkeypatch.setattr(bench, "translate_proof", lambda p, t: hyp(q_var("open")))
         with pytest.raises(NonhamError, match="translated proof is not closed"):
             pipeline_row(empty_graph(2))
-        log = io.StringIO()
-        assert run_bench("empty", [2, 3], log=log) == []
-        assert log.getvalue().splitlines() == [
+        assert run_bench("empty", [2, 3]) == []
+        assert capsys.readouterr().err.splitlines() == [
             f"bench: n={n} graph_id=0: translated proof is not closed" for n in (2, 3)
         ]
 
-    def test_tree_that_does_not_replay_is_refused(self, monkeypatch):
+    def test_tree_that_does_not_replay_is_refused(self, monkeypatch, capsys):
         a = q_var("a")
         monkeypatch.setattr(bench, "loads_proof", lambda text: imp_intro(hyp(a), a))
         with pytest.raises(NonhamError, match="does not replay from its serialization"):
             pipeline_row(empty_graph(2))
-        log = io.StringIO()
-        assert run_bench("empty", [2], log=log) == []
-        assert log.getvalue() == (
+        assert run_bench("empty", [2]) == []
+        assert capsys.readouterr().err == (
             "bench: n=2 graph_id=0: tree proof does not replay from its serialization\n"
         )
 

@@ -90,13 +90,13 @@ class TestCaseTower:
 
     def test_single_vertex_graph_is_hamiltonian(self):
         with pytest.raises(GraphIsHamiltonianError) as err:
-            build_case_tower(empty(1), encode_graph(empty(1)))
+            build_case_tower(empty(1), encode_graph(empty(1)), mode="faithful")
         assert err.value.witness == (1,)
 
     def test_hamiltonian_graph_raises_with_valid_witness(self):
         g = Graph(3, frozenset({(1, 2), (2, 3)}))
         with pytest.raises(GraphIsHamiltonianError) as err:
-            build_case_tower(g, encode_graph(g))
+            build_case_tower(g, encode_graph(g), mode="faithful")
         assert find_violation(err.value.witness, g) is None
 
     def test_pruned_tower_is_smaller_but_equivalent(self):
@@ -125,7 +125,7 @@ class TestFinalize:
     def test_discharges_the_encoding(self):
         g = empty(2)
         enc = encode_graph(g)
-        tower, _, _ = build_case_tower(g, enc)
+        tower, _, _ = build_case_tower(g, enc, mode="faithful")
         p, m = finalize_negation(tower, enc)
         assert p.conclusion is imp(enc.formula, bot())
         assert m.open_assumptions == frozenset()

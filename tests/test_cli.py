@@ -1,11 +1,15 @@
 """End-to-end command line tests driving main() with temp files."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
+from types import ModuleType
 
 import pytest
 
@@ -16,6 +20,7 @@ from nonham.dagproof import compress_and_verify, compress_horizontal
 from nonham.encoding import ENCODE_CAP
 from nonham.errors import NonhamError
 from nonham.formulas import chain_disj, imp, q_var
+from nonham.graphs import is_hamiltonian, random_graph
 from nonham.prooftree import (
     ProofTree,
     check_tree,
@@ -69,6 +74,19 @@ class TestOracle:
     def test_sat_cap_guard(self, chain3, capsys):
         assert main(["oracle", chain3, "--sat-cap", "2"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, hamiltonian", [(0, True), (2, False)])
+    def test_sat_cap_admits_n8(self, tmp_path, capsys, seed, hamiltonian):
+        g = random_graph(Random(seed), 8, edge_prob=0.3)
+        path = write_graph(tmp_path / "g8.graph", 8, g.edges)
+        assert main(["oracle", path]) == 2
+        assert "sat cap" in capsys.readouterr().err
+        assert main(["oracle", path, "--sat-cap", "8", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        witness = is_hamiltonian(g)
+        assert (witness is not None) == hamiltonian
+        assert payload["witness"] == (list(witness) if hamiltonian else None)
+        assert payload["hamiltonian"] is payload["encoding_satisfiable"] is hamiltonian
 
     def test_oversized_graph_is_refused_before_path_search(self, tmp_path, capsys):
         g = write_graph(tmp_path / "empty50.graph", 50, [])
@@ -391,6 +409,18 @@ class TestMisc:
             main(["--version"])
         assert err.value.code == 0
         assert "nonham" in capsys.readouterr().out
+
+    def test_package_namespace_holds_only_its_modules(self):
+        # the package re-exports nothing: every stage is imported from its module
+        for info in pkgutil.iter_modules(nonham.__path__):
+            importlib.import_module(f"nonham.{info.name}")
+        public = [name for name in vars(nonham) if not name.startswith("_")]
+        assert public
+        for name in public:
+            value = getattr(nonham, name)
+            assert isinstance(value, ModuleType), name
+            assert value.__name__ == f"nonham.{name}"
+        assert isinstance(nonham.__version__, str)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         src = str(Path(nonham.__file__).resolve().parent.parent)

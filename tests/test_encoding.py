@@ -20,7 +20,7 @@ from nonham.errors import CapExceededError
 from nonham.formulas import AND, XVar, bot, conj, disj, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
 from nonham.kernels import compile_program, eval_batch_numpy, pack_columns
-from references import bit_block, eval_formula, step_vertex_block
+from references import bit_block, eval_formula, graph_from_id, step_vertex_block
 
 
 def descend(f, path):
@@ -58,7 +58,7 @@ class TestComponentCounts:
 
     @given(st.integers(0, 2**12 - 1))
     def test_random_n4_counts(self, gid):
-        g = Graph.from_id(4, gid)
+        g = graph_from_id(4, gid)
         enc = encode_graph(g)
         want = expected_counts(g)
         for tag in PART_TAGS:
@@ -202,6 +202,26 @@ class TestSatisfiability:
             assert want == (is_hamiltonian(g) is not None)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed, hamiltonian", [(0, True), (2, False)])
+    def test_scan_stops_at_the_first_narrowing_with_a_witness_n8(
+            self, monkeypatch, seed, hamiltonian):
+        # n=8 has 8! = 40,320 permutation rows, more than one buffer of
+        # _CHUNK, so the buffer is narrowed mid-scan; at n <= 7 the n! rows
+        # fit one buffer and the only narrowing is at the end of the scan.
+        # Blocks are counted, not resized: 8^3 blocks of 8^5 rows.
+        blocks = []
+        block_columns = encoding._block_columns
+        monkeypatch.setattr(encoding, "_block_columns",
+                            lambda *args: blocks.append(args) or block_columns(*args))
+        g = random_graph(Random(seed), 8, edge_prob=0.3)
+        assert (is_hamiltonian(g) is not None) == hamiltonian
+        assert satisfiable(g, cap=8) == hamiltonian
+        assert encoding._block_steps(8) == 5
+        if hamiltonian:
+            assert len(blocks) < 8**3
+        else:
+            assert len(blocks) == 8**3
 
     @pytest.mark.parametrize("n, budget", [
         (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])

@@ -1,7 +1,6 @@
 """Tests for the translation into purely implicational minimal logic."""
 
 import itertools
-from random import Random
 
 import numpy as np
 import pytest
@@ -131,16 +130,10 @@ class TestStar:
         assert rho is want
         assert rho_star(t, []) is t.star_root
 
-    def test_folded_weight_over_used_axiom_subsets_n2(self):
-        rng = Random(12)
+    def test_folded_weight_of_refutation_goals_n2(self):
         for g in nonham_graphs(2):
-            report = build_refutation(g)
-            t = translate_formula(report.proof.conclusion)
-            used = used_axioms(report.proof, t)
-            subsets = [used[:k] for k in range(len(used) + 1)]
-            subsets += [rng.sample(used, rng.randrange(len(used) + 1)) for _ in range(8)]
-            for axioms in subsets:
-                assert t.folded_weight(axioms) == weight(rho_star(t, axioms))
+            t = translate_formula(build_refutation(g).proof.conclusion)
+            assert t.folded_weight() == weight(rho_star(t))
 
     @given(formulas_st())
     @settings(max_examples=80)
@@ -149,7 +142,6 @@ class TestStar:
         assert is_implicational(rho_star(t))
         assert weight(rho_star(t)) <= weight(f) ** 3
         assert t.folded_weight() == weight(rho_star(t))
-        assert t.folded_weight([]) == weight(t.star_root)
 
     @given(formulas_st())
     @settings(max_examples=50)

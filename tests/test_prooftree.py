@@ -178,16 +178,16 @@ class TestNormality:
         p = imp_elim(identity_proof(A), hyp(A))
         check_tree(p)
         assert not is_normal(p)
-        assert not subformula_ok(p)
+        assert not subformula_ok(p, check_tree(p).open_assumptions)
 
     def test_subformula_property_of_normal_proof(self):
         p = imp_intro(and_elim_l(hyp(conj(A, B))), conj(A, B))
-        assert subformula_ok(p)
+        assert subformula_ok(p, check_tree(p).open_assumptions)
         assert subformula_ok(p, frozenset())
 
     def test_open_assumptions_extend_allowed_set(self):
         p = imp_elim(hyp(imp(A, B)), hyp(A))
-        assert subformula_ok(p)
+        assert subformula_ok(p, check_tree(p).open_assumptions)
 
 
 def edit_node(doc, pos, **fields):
