@@ -19,12 +19,19 @@ is transparent and S is rejected.
 
 All occurrences of one proof object at one level share formula, child
 classes and derivation, so compression and the coherence count work once
-per such (node, level) *site*, not per tree occurrence. Sites are numbered
-level by level, and within a level in order of first preorder occurrence,
-so a site's premise sites always come after it and every pass runs in
+per such (node, level) *site*, not per tree occurrence. Compression is one
+level pass: reading a level in site order numbers the next level's sites
+and merge classes as they are first met, pushes occurrence counts down,
+and keys the level's derivation groups; then the level's nodes are
+emitted. Every site of a level is met while the level above is read, so
+its class is complete before it is read itself. Sites therefore run level
+by level, and within a level in order of first preorder occurrence; a
+site's premise sites always come after it, and every later pass runs in
 index order: forward for anything pushed from parents to children,
-backward for anything gathered from children. An `OriginMap` records
-where every site landed and how many occurrences it stands for.
+backward for anything gathered from children. An `OriginMap` records where
+every site landed and how many occurrences it stands for. The pass makes
+no reference cycles (`TestNoReferenceCycles` guards the whole pipeline),
+so it pauses the cyclic collector, whose runs would find nothing.
 
 `compress_and_verify` is the one copy of the whole sequence: compress,
 count incoherent separation nodes, cleanse, serialize, reload, and verify
@@ -33,6 +40,7 @@ the reloaded dag. The CLI, the bench and the acceptance tests all call it.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .artifact import dumps_document, formula_at, loads_document, open_document
@@ -83,10 +91,11 @@ class DagProof:
 
 @dataclass
 class OriginMap:
-    """Sites -> dag nodes. A site is one proof object at one level; sites
-    are numbered level by level, and within a level in preorder of their
-    first occurrence (site 0 is the root), so the levels of the sites'
-    nodes never decrease.
+    """Sites -> dag nodes. A site is one proof object at one level, keyed
+    by the object itself. Sites are numbered in the order compression's
+    level pass first meets them: level by level, and within a level in
+    preorder of first occurrence (site 0 is the root), so the levels of the
+    sites' nodes never decrease.
 
     `children_of` lists a site's premise sites in premise order, `mult`
     counts its tree occurrences, and `group_of` records which derivation
@@ -105,98 +114,78 @@ class OriginMap:
         return sum(self.mult)
 
 
-def _levels(p: ProofTree):
-    """Level-synchronous walk of a tree proof: the node and child sites of
-    each site, and the first site of each level followed by the site count.
-
-    Level L+1 is numbered while level L is read in index order, each node's
-    premises in premise order, so sites run level by level and, within a
-    level, in order of first preorder occurrence; an object met again on
-    the same level keeps the site it got first. Every child site exceeds
-    its parent's."""
-    nodes = [p]
-    children: list[list[int]] = []
-    starts = [0]
-    lo = 0
-    while lo < len(nodes):
-        hi = len(nodes)
-        starts.append(hi)
-        seen: dict[int, int] = {}  # id(node) -> its site on the next level
-        for node in nodes[lo:hi]:
-            ids = []
-            for ch in node.premises:
-                idx = seen.get(id(ch))
-                if idx is None:
-                    idx = seen[id(ch)] = len(nodes)
-                    nodes.append(ch)
-                ids.append(idx)
-            children.append(ids)
-        lo = hi
-    return nodes, children, starts
-
-
 def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
-    """Merge same-level same-formula occurrences of an implicational tree,
-    working once per site, level by level (see the module docstring)."""
-    site_nodes, site_children, starts = _levels(p)
-    total = len(site_nodes)
+    """Merge same-level same-formula occurrences of an implicational tree in
+    one level pass over its sites (see the module docstring). The cyclic
+    collector is paused for the pass, which makes no reference cycles, and
+    left as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _compress(p)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _compress(p: ProofTree) -> tuple[DagProof, OriginMap]:
+    sites = [p]  # proof object of each site
+    mult = [1]
+    children_of: list[list[int]] = []
+    node_of: list[int] = []
+    group_of: list[int] = []
     # merge classes keyed by (level, formula); ids run level by level, in
     # order of first site
-    site_class: list[int] = []
-    class_first: list[int] = []
-    class_size: list[int] = []
-    class_starts: list[int] = []
-    for level in range(len(starts) - 1):
-        lo, hi = starts[level], starts[level + 1]
-        class_starts.append(len(class_first))
-        ids: dict[Formula, int] = {}
-        for s in range(lo, hi):
-            node = site_nodes[s]
-            if node.rule not in IMPLICATIONAL_RULES:
-                raise UnsupportedRuleError(
-                    f"horizontal compression handles implicational proofs only, got {node.rule}"
-                )
-            cid = ids.setdefault(node.conclusion, len(class_first))
-            if cid == len(class_first):
-                class_first.append(s)
-                class_size.append(1)
-            else:
-                class_size[cid] += 1
-            site_class.append(cid)
-    class_starts.append(len(class_first))
-
-    # occurrence counts, pushed down in index order (children follow parents)
-    mult = [0] * total
-    mult[0] = 1
-    tree_weight = 0
-    for s in range(total):
-        m = mult[s]
-        tree_weight += m * site_nodes[s].conclusion.weight
-        for c in site_children[s]:
-            mult[c] += m
-    occurrences = sum(mult)
-
-    # Nodes in final order, a level at a time: the level's classes, then the
-    # representatives of its separation nodes by first site of their group.
-    # A class's node sits at its id plus the representatives of the levels
-    # above it. Child sites are read by count: implicational rules take at
-    # most two premises, and the last branch keeps any other count as given.
+    site_class = [0]
+    class_first = [0]
+    class_size = [1]
+    group_count = [0]
     nodes: list[DagNode] = []
-    node_of: list[int] = []
-    group_of = [0] * total
-    group_count = [0] * len(class_first)
-    offset = 0
-    for level in range(len(starts) - 1):
-        lo, hi = starts[level], starts[level + 1]
+    tree_weight = 0
+    level = lo = cls_lo = offset = 0
+    while lo < len(sites):
+        hi, cls_hi = len(sites), len(class_first)
+        # Read the level in site order. Each node's premises are numbered as
+        # the next level's sites and classes when first met, and take their
+        # share of its occurrences; every site of this level was met on the
+        # level above, so its class size is final and its group is keyed now.
+        next_site: dict[ProofTree, int] = {}
+        next_class: dict[Formula, int] = {}
         groups: dict[tuple, int] = {}
         firsts: list[int] = []  # first sites of groups, in site order
         for s in range(lo, hi):
+            node = sites[s]
+            if node.rule not in IMPLICATIONAL_RULES:
+                raise UnsupportedRuleError(
+                    f"horizontal compression handles implicational proofs only, got {node.rule}")
+            m = mult[s]
+            tree_weight += m * node.conclusion.weight
+            ch = []
+            for c in node.premises:
+                t = next_site.get(c)
+                if t is None:
+                    t = next_site[c] = len(sites)
+                    sites.append(c)
+                    mult.append(m)
+                    cid = next_class.get(c.conclusion)
+                    if cid is None:
+                        cid = next_class[c.conclusion] = len(class_first)
+                        class_first.append(t)
+                        class_size.append(1)
+                        group_count.append(0)
+                    else:
+                        class_size[cid] += 1
+                    site_class.append(cid)
+                else:
+                    mult[t] += m
+                ch.append(t)
+            children_of.append(ch)
             cid = site_class[s]
             node_of.append(cid + offset)
-            if class_size[cid] > 1:  # a lone site is group 0 of its class
-                node = site_nodes[s]
-                ch = site_children[s]
+            gi = 0  # a lone site is group 0 of its class
+            if class_size[cid] > 1:
+                # child sites are read by count: implicational rules take at
+                # most two premises, and the last branch keeps any other count
                 if not ch:
                     key = (cid, node.rule, node.discharge)
                 elif len(ch) == 1:
@@ -210,23 +199,25 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
                     gi = groups[key] = group_count[cid]
                     group_count[cid] += 1
                     firsts.append(s)
-                group_of[s] = gi
+            group_of.append(gi)
         reps = [s for s in firsts if group_count[site_class[s]] > 1]
         below = offset + len(reps)  # offset of the next level's classes
 
-        # the level's classes (a lone derivation or a separation node),
-        # then the representatives one level below
-        classes = class_first[class_starts[level]:class_starts[level + 1]]
+        # Emit the level's classes (a lone derivation or a separation node),
+        # then the representatives of its separation nodes one level below,
+        # by first site of their group. A class's node sits at its id plus
+        # the representatives of the levels above it.
+        classes = class_first[cls_lo:cls_hi]
         sep_premises: dict[int, list[int]] = {}
         for k, s in enumerate(classes + reps):
-            node = site_nodes[s]
+            node = sites[s]
             cid = site_class[s]
             rep = k >= len(classes)
             if not rep and group_count[cid] > 1:
                 sep_premises[cid] = []
                 nodes.append(DagNode(node.conclusion, SEP, (), level))
                 continue
-            ch = site_children[s]
+            ch = children_of[s]
             if not ch:
                 premises = ()
             elif len(ch) == 1:
@@ -242,12 +233,12 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
                 nodes.append(DagNode(node.conclusion, node.rule, premises, level))
         for cid, premises in sep_premises.items():
             nodes[cid + offset].premises = tuple(premises)
-        offset = below
+        level, lo, cls_lo, offset = level + 1, hi, cls_hi, below
 
     dag = DagProof(nodes=nodes, root=0, source_tree_weight=tree_weight,
-                   had_duplicates=len(class_first) < occurrences)
+                   had_duplicates=len(class_first) < sum(mult))
     origin = OriginMap(node_of=node_of, group_of=group_of,
-                       children_of=site_children, mult=mult)
+                       children_of=children_of, mult=mult)
     return dag, origin
 
 

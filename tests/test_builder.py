@@ -18,7 +18,13 @@ from nonham.builder import (
     leaf_from_violation,
     resolve_mode,
 )
-from nonham.dagproof import compress_and_verify, dumps_dag
+from nonham.dagproof import (
+    cleanse,
+    coherence_failures,
+    compress_and_verify,
+    compress_horizontal,
+    dumps_dag,
+)
 from nonham.encoding import encode_graph
 from nonham.errors import (
     CapExceededError,
@@ -230,6 +236,47 @@ class TestBuildRefutation:
         assert hashlib.sha256(dumps_proof(report.proof).encode()).hexdigest() == digest
         assert (report.tower_height, report.leaf_count) == (tower_height, leaf_count)
 
+    # recorded at be897ae, for the translations of the PINNED proofs: the
+    # uncollapsed dag with its S nodes, its collapse, the occurrences the
+    # origin map stands for and the incoherent S nodes
+    PINNED_DAGS = [
+        ("0d9e88fa6953df6aa9cfbdb7edc20da427eb2d6baca747ed3d9cedbf2724c7e0",
+         "02b6e92601c7a4db8b4e3b25a9b35a33e91ad7be770f8e6db257db0376f0d0af", 114, 0),
+        ("5ada65011e1064662b439fded5d10661fac678c7ac848ddc735fb9e2d06a0d53",
+         "da93bcb44530f93c799460538e45cdda9e144595e55426366b83366b49a167e0", 892, 18),
+        ("9f4d64c6c8b9de8f90a6d0dbc6aae107622d50823c072e6c81b45a170643dfdf",
+         "6dbdfcd12e03866ddc79a86dd16e7a73236890c6aadc8fe521012dba97d6ca93", 8816, 104),
+        ("a45912f4887ef9d4c9720e7a33d223741f08e95560573188620404fa794cde5b",
+         "87b48c220e4459b79680417d42f11d4f3f7e44f2910ea01598c3d14a0eef1f34", 896, 13),
+        ("0d9e88fa6953df6aa9cfbdb7edc20da427eb2d6baca747ed3d9cedbf2724c7e0",
+         "02b6e92601c7a4db8b4e3b25a9b35a33e91ad7be770f8e6db257db0376f0d0af", 114, 0),
+        ("8be6e9eeaabb27b0b30dcb8b6ee878b974b1659cae3777b3742d877af0ee839e",
+         "dfb3ed41be9808760928a4a0b840333623a980975772922b093f73f03086d1a7", 888, 18),
+        ("0f5b7e7e0d8c634443dacafcc6738ca99ea757b1ed9ad30dc0b2d8bb680aaa38",
+         "510ea344b41cbf42c68b7f259e968654bf852d4a928443fdd80814f2018757ff", 8798, 106),
+        ("3eb3ad3e8478ef090363e223d4e094f1851f90d5599c92a678c840b8afbcc698",
+         "c9483b363e36419215eac1c8c61d5e6c4bcb4ee2d394a3bcc58c175e722bf2a0", 1757, 12),
+        ("b5fba4cfa9dc6cbaec06ecca525049ffe7a1490eb64fec385297d1f5250b9820",
+         "c65e5d52503ea8d105d3391d31faee9faa29a3e643f8ad7c46335257f70cb32a", 5259, 25),
+        ("a567ace5ea5357631fdceed9fcf2ba5e026b862137d57855796bcb9e3f99577b",
+         "ab988101ffcd1b543f57d1afc627b1d289d2fa3ad00ec0a94917506b917027d7", 2522, 25),
+    ]
+
+    @pytest.mark.parametrize("pinned, dag_digest, cleansed_digest, occurrences, incoherent",
+                             [(row[:4], *dags) for row, dags in zip(PINNED, PINNED_DAGS)],
+                             ids=[f"{row[0]}{row[1]}-{row[2]}" for row in PINNED])
+    def test_compression_bytes_match_the_recorded_digests(self, pinned, dag_digest,
+                                                          cleansed_digest, occurrences,
+                                                          incoherent):
+        family, n, mode, cap = pinned
+        g = (empty_graph if family == "empty" else chain_graph)(n)
+        _, q = refute_and_translate(g, mode=mode, cap=cap)
+        dag, origin = compress_horizontal(q)
+        cleansed = cleanse(dag, origin, source=q, strict=False)
+        assert hashlib.sha256(dumps_dag(dag).encode()).hexdigest() == dag_digest
+        assert hashlib.sha256(dumps_dag(cleansed).encode()).hexdigest() == cleansed_digest
+        assert (len(origin), len(coherence_failures(dag, origin))) == (occurrences, incoherent)
+
     def test_pruned_pipeline_on_a_mid_size_graph(self):
         g = Graph(5, frozenset({(1, 2), (2, 3), (3, 4)}))
         report = build_refutation(g)
@@ -248,8 +295,8 @@ def distinct_nodes(p) -> int:
     return sum(1 for _ in iter_nodes(p))
 
 
-def refute_and_translate(g):
-    report = build_refutation(g)
+def refute_and_translate(g, mode="auto", cap=None):
+    report = build_refutation(g, mode=mode, cap=cap)
     return report, translate_proof(report.proof, translate_formula(report.proof.conclusion))
 
 
@@ -303,7 +350,8 @@ class TestSharing:
 
 
 class TestNoReferenceCycles:
-    @pytest.mark.parametrize("g", [empty_graph(3), chain_graph(5)], ids=["empty3", "chain5"])
+    @pytest.mark.parametrize("g", [empty_graph(3), empty_graph(4), chain_graph(5)],
+                             ids=["empty3", "empty4", "chain5"])
     def test_pipeline_leaves_nothing_for_the_cyclic_collector(self, g):
         # one run first, so module-level caches filled on first use are not
         # counted; then every object a run creates must be freed by its

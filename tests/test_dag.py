@@ -1,5 +1,6 @@
 """Tests for horizontal compression, cleansing, and dag verification."""
 
+import gc
 import json
 
 import pytest
@@ -34,6 +35,7 @@ from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian
 from nonham.implicational import translate_formula, translate_proof
 from nonham.prooftree import (
     and_elim_l,
+    and_elim_r,
     check_tree,
     dumps_proof,
     hyp,
@@ -123,6 +125,18 @@ class TestTreeToDag:
             tree_to_dag(and_elim_l(hyp(conj(A, B))))
         with pytest.raises(UnsupportedRuleError):
             compress_horizontal(and_elim_l(hyp(conj(A, B))))
+        # and below the root, at level 4
+        p = imp_intro(imp_elim(hyp(imp(A, B)), and_elim_l(hyp(conj(A, C)))), imp(A, B))
+        with pytest.raises(UnsupportedRuleError, match="AndElimL"):
+            compress_horizontal(imp_intro(imp_intro(p, C), R))
+
+    def test_names_the_first_unsupported_site_in_level_order(self):
+        # AndElimL sits at level 5 and comes first in preorder; AndElimR sits
+        # at level 3, so it is the first unsupported site
+        major = imp_intro(imp_elim(hyp(imp(C, B)), and_elim_l(hyp(conj(C, A)))), A)
+        p = imp_intro(imp_intro(imp_elim(major, and_elim_r(hyp(conj(C, A)))), C), R)
+        with pytest.raises(UnsupportedRuleError, match="AndElimR"):
+            compress_horizontal(p)
 
 
 class TestCompression:
@@ -197,6 +211,46 @@ class TestCompression:
                 assert om.group_of[s] >= 0 and om.mult[s] >= 1
                 assert all(d.nodes[om.node_of[c]].level == level + 1
                            for c in om.children_of[s])
+
+
+class TestCollectorPause:
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_compress_leaves_the_collector_as_it_found_it(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        compress_horizontal(two_derivations_proof())
+        assert gc.isenabled() is enabled
+
+    def test_an_unsupported_rule_mid_pass_reenables_the_collector(self):
+        gc.enable()
+        p = imp_intro(imp_elim(hyp(imp(A, B)), and_elim_l(hyp(conj(A, C)))), imp(A, B))
+        with pytest.raises(UnsupportedRuleError):
+            compress_horizontal(p)
+        assert gc.isenabled()
+
+    def test_the_pass_runs_no_collection(self):
+        q, _, _ = pipeline(Graph(3, frozenset()))
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            compress_horizontal(q)
+        finally:
+            gc.callbacks.remove(count)
+        assert runs == []
 
 
 class TestPipelineOutcomes:
