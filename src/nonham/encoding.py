@@ -19,7 +19,7 @@ a left fold over the present parts in the order above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def encode_graph(g: Graph) -> PathEncoding:
 
     conjuncts: dict[str, list[Formula]] = {tag: [] for tag in PART_TAGS}
     repeat_pos: dict[tuple[int, int, int], int] = {}
-    edge_pos: dict[tuple[int, int, int], int] = {}
 
     for v in verts:
         c = chain_disj([x_var(i, v) for i in steps])
@@ -106,15 +105,11 @@ def encode_graph(g: Graph) -> PathEncoding:
             c = imp(x_var(i, v), imp(x_var(i, w), bot()))
             conjuncts["step_unique"].append(c)
 
-    for v, w in g.missing_pairs():
-        for i in range(1, n):
-            c = imp(x_var(i, v), imp(x_var(i + 1, w), bot()))
-            edge_pos[(v, w, i)] = len(conjuncts["edge_ban"])
-            conjuncts["edge_ban"].append(c)
+    bans = edge_bans(g)
+    conjuncts["edge_ban"] = list(bans.values())
+    edge_pos = {key: pos for pos, key in enumerate(bans)}
 
-    parts: dict[str, Formula | None] = {
-        tag: balanced_conj(items) if items else None for tag, items in conjuncts.items()
-    }
+    parts = {tag: conjunction(items) for tag, items in conjuncts.items()}
     present = [parts[tag] for tag in PART_TAGS if parts[tag] is not None]
     formula = present[0]
     for p in present[1:]:
@@ -128,6 +123,18 @@ def encode_graph(g: Graph) -> PathEncoding:
         repeat_pos=repeat_pos,
         edge_pos=edge_pos,
     )
+
+
+def edge_bans(g: Graph) -> dict[tuple[int, int, int], Formula]:
+    """edge_ban's conjuncts in conjunct order, keyed by (v, w, i): step i
+    visits v and step i+1 visits w, for each missing pair (v, w)."""
+    return {(v, w, i): imp(x_var(i, v), imp(x_var(i + 1, w), bot()))
+            for v, w in g.missing_pairs() for i in range(1, g.n)}
+
+
+def conjunction(items: list[Formula]) -> Formula | None:
+    """A part from its conjuncts: their balanced conjunction, or None if there are none."""
+    return balanced_conj(items) if items else None
 
 
 def part_path(enc: PathEncoding, tag: str) -> list[str]:
@@ -226,12 +233,83 @@ def _block_columns(prog: Program, n: int, k: int, block: int) -> np.ndarray:
 
 
 def _block_rows(n: int, k: int, block: int, offsets: np.ndarray) -> np.ndarray:
-    """Step-major (n, len(offsets)) vertex sequences of rows block*n^k + offsets."""
-    seqs = np.empty((n, offsets.shape[0]), dtype=np.int64)
-    seqs[: n - k] = np.asarray(_prefix(n, k, block), dtype=np.int64)[:, None]
+    """Step-major (n, len(offsets)) uint8 vertex sequences of rows block*n^k + offsets."""
+    seqs = np.empty((n, offsets.shape[0]), dtype=np.uint8)
+    seqs[: n - k] = np.asarray(_prefix(n, k, block), dtype=np.uint8)[:, None]
     for step in range(n - k + 1, n + 1):
         seqs[step - 1] = offsets // n ** (n - step) % n + 1
     return seqs
+
+
+@dataclass
+class _Scan:
+    """The scan of one n so far: the functional rows that satisfy every part
+    depending on n alone, and the block to resume from.
+
+    `chunks` are the scan's flushes in base-n order, each a step-major
+    (n, rows) uint8 block of vertex sequences already narrowed through
+    those parts; every chunk holds at least one row.
+    """
+
+    first: Program
+    rest: list[Program]
+    k: int
+    chunks: list[np.ndarray] = field(default_factory=list)
+    block: int = 0
+
+
+# n -> its scan, filled lazily by `_scan_on` and kept for the life of the process
+_scans: dict[int, _Scan] = {}
+
+
+def _check_xvars(prog: Program) -> None:
+    for name in prog.var_slots:
+        if not isinstance(name, XVar):
+            raise AssertionError(f"unexpected variable in encoding: {name}")
+
+
+def _scan_of(n: int) -> _Scan:
+    scan = _scans.get(n)
+    if scan is None:
+        # the complete digraph's encoding is exactly the parts that depend on n alone
+        parts = encode_graph(Graph(n, frozenset(ordered_pairs(n)))).parts
+        progs = [compile_program(parts[tag]) for tag in PART_TAGS if parts[tag] is not None]
+        for prog in progs:
+            _check_xvars(prog)
+        scan = _scans[n] = _Scan(progs[0], progs[1:], _block_steps(n))
+    return scan
+
+
+def _scan_on(n: int, scan: _Scan) -> bool:
+    """Scan on from `scan.block` to the next flush that keeps a row and cache
+    that chunk; False once the n^n rows are all scanned.
+
+    The first part is evaluated on each block and its hits are buffered;
+    the buffer is narrowed through the other parts when it holds `_CHUNK`
+    rows or the scan ends. `scan` moves only at a flush, so a scan cut
+    short resumes from its last one.
+    """
+    n_k = n**scan.k
+    blocks = n ** (n - scan.k)
+    held: list[np.ndarray] = []
+    count = 0
+    for block in range(scan.block, blocks):
+        root = eval_words(scan.first, _block_columns(scan.first, n, scan.k, block))
+        offsets = np.flatnonzero(unpack_rows(root, n_k))
+        if offsets.shape[0]:
+            held.append(_block_rows(n, scan.k, block, offsets))
+            count += offsets.shape[0]
+        if count and (count >= _CHUNK or block == blocks - 1):
+            rows = np.concatenate(held, axis=1)
+            for prog in scan.rest:
+                rows = rows[:, _holds(prog, rows)]
+            scan.block = block + 1
+            if rows.shape[1]:
+                scan.chunks.append(rows)
+                return True
+            held, count = [], 0
+    scan.block = blocks
+    return False
 
 
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
@@ -243,49 +321,36 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     conjunction of its present parts, so a row satisfies it exactly when it
     satisfies every part.
 
-    The n^n rows are scanned in base-n order, in blocks of n^k consecutive
-    rows (k set by `_BLOCK`). Inside a block steps 1..n-k are fixed, so
-    their columns are constant words; the columns of the low k steps are
-    the same for every block and are packed once per (n, k) and cached.
-    The parts that depend on n alone are compiled once per process
-    (`compile_program`); edge_ban, the one part that depends on the edges,
-    is compiled for this call only, so scanning many graphs caches nothing
-    per graph. The first part (coverage, true only on the n! permutations)
-    is evaluated on each block 64 rows per word; each hit is decoded from
-    its block and offset into a vertex sequence and buffered, and the
-    buffer is narrowed part by part whenever it fills or the scan ends; the
-    scan stops at the first narrowing with a surviving row. The buffer only
-    fills mid-scan when n! > `_CHUNK` (n >= 8), so at n <= 7 a Hamiltonian
-    graph pays for the whole scan.
+    Four parts depend on n alone, so the rows that satisfy them are the
+    same for every graph of that n: they are found once per n and kept for
+    the life of the process (`_Scan`). The n^n rows are scanned in base-n
+    order, in blocks of n^k consecutive rows (k set by `_BLOCK`). Inside a
+    block steps 1..n-k are fixed, so their columns are constant words; the
+    columns of the low k steps are the same for every block and are packed
+    once per (n, k). The first part (coverage, true only on the n!
+    permutations) is evaluated on each block 64 rows per word; its hits are
+    decoded into vertex sequences, buffered, and narrowed through the other
+    n-only parts (compiled once per process) into a cached chunk whenever
+    the buffer holds `_CHUNK` rows or the scan ends.
+
+    This call builds only g's edge_ban part, compiles it without keeping
+    it, and evaluates it over the cached chunks in scan order, scanning on
+    for more only when they run out; it returns True at the first chunk
+    with a surviving row. With no missing edge there is no edge_ban, and
+    any cached row is a witness. A chunk fills mid-scan only when
+    n! > `_CHUNK` (n >= 8), so at n <= 7 the first graph of each n pays
+    for the whole scan and every later one reads one cached chunk.
     """
     check_sat_cap(g.n, cap)
-    enc = encode_graph(g)
-    progs = [build_program(enc.parts[tag]) if tag == "edge_ban"
-             else compile_program(enc.parts[tag]) for tag in enc.present]
-    for prog in progs:
-        for name in prog.var_slots:
-            if not isinstance(name, XVar):
-                raise AssertionError(f"unexpected variable in encoding: {name}")
-    first, rest = progs[0], progs[1:]
-
-    def narrow(rows: np.ndarray) -> bool:
-        for prog in rest:
-            rows = rows[:, _holds(prog, rows)]
-        return rows.shape[1] > 0
-
-    n = g.n
-    k = _block_steps(n)
-    blocks = n ** (n - k)
-    held: list[np.ndarray] = []
-    count = 0
-    for block in range(blocks):
-        root = eval_words(first, _block_columns(first, n, k, block))
-        offsets = np.flatnonzero(unpack_rows(root, n**k))
-        if offsets.shape[0]:
-            held.append(_block_rows(n, k, block, offsets))
-            count += offsets.shape[0]
-        if count and (count >= _CHUNK or block == blocks - 1):
-            if narrow(np.concatenate(held, axis=1)):
-                return True
-            held, count = [], 0
+    part = conjunction(list(edge_bans(g).values()))
+    prog = None if part is None else build_program(part)
+    if prog is not None:
+        _check_xvars(prog)
+    scan = _scan_of(g.n)
+    pos = 0
+    while pos < len(scan.chunks) or _scan_on(g.n, scan):
+        rows = scan.chunks[pos]
+        if prog is None or _holds(prog, rows).any():
+            return True
+        pos += 1
     return False

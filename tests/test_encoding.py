@@ -1,6 +1,10 @@
 """Tests for the path encoding: component counts, positions, and satisfiability."""
 
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -12,6 +16,8 @@ from nonham.encoding import (
     PART_TAGS,
     SAT_CAP,
     conjunct_path,
+    conjunction,
+    edge_bans,
     encode_graph,
     part_path,
     satisfiable,
@@ -28,6 +34,15 @@ def descend(f, path):
         assert f.kind == AND
         f = f.left if step == "L" else f.right
     return f
+
+
+def whole_formula_verdict(g: Graph, seqs: np.ndarray) -> bool:
+    """Whether the whole encoding of g holds on any of the (rows, n) vertex sequences."""
+    prog = compile_program(encode_graph(g).formula)
+    rows = np.empty((seqs.shape[0], len(prog.var_slots)), dtype=bool)
+    for slot, name in enumerate(prog.var_slots):
+        rows[:, slot] = seqs[:, name.step - 1] == name.vertex
+    return bool(eval_batch_numpy(prog, rows).any())
 
 
 def expected_counts(g: Graph) -> dict[str, int]:
@@ -187,17 +202,14 @@ class TestSatisfiability:
         # of n=5, so only the flush at the end runs. Blocks of 25, 125 and
         # 216 rows fix 3, 2 and 3 leading steps, and none is a whole number
         # of 64-row words; the default budget scans n=5 as one block.
+        monkeypatch.setattr(encoding, "_scans", {})
         monkeypatch.setattr(encoding, "_CHUNK", chunk)
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         verdicts = set()
         for seed in seeds:
             g = random_graph(Random(seed), n, edge_prob=0.3)
-            prog = compile_program(encode_graph(g).formula)
-            rows = np.empty((n**n, len(prog.var_slots)), dtype=bool)
-            for slot, name in enumerate(prog.var_slots):
-                rows[:, slot] = seqs[:, name.step - 1] == name.vertex
-            want = bool(eval_batch_numpy(prog, rows).any())
+            want = whole_formula_verdict(g, seqs)
             assert satisfiable(g) == want
             assert want == (is_hamiltonian(g) is not None)
             verdicts.add(want)
@@ -210,6 +222,7 @@ class TestSatisfiability:
         # _CHUNK, so the buffer is narrowed mid-scan; at n <= 7 the n! rows
         # fit one buffer and the only narrowing is at the end of the scan.
         # Blocks are counted, not resized: 8^3 blocks of 8^5 rows.
+        monkeypatch.setattr(encoding, "_scans", {})
         blocks = []
         block_columns = encoding._block_columns
         monkeypatch.setattr(encoding, "_block_columns",
@@ -241,9 +254,10 @@ class TestSatisfiability:
             offsets = np.arange(size)
             assert np.array_equal(encoding._block_rows(n, k, block, offsets), rows.T)
 
-    def test_scans_cache_no_program_per_graph(self):
-        # only the parts that depend on n alone are cached; each graph's
-        # edge_ban program goes with its scan
+    def test_scans_cache_no_program_per_graph(self, monkeypatch):
+        # only the parts that depend on n alone are cached, with the rows
+        # that satisfy them; each graph's edge_ban program goes with its scan
+        monkeypatch.setattr(encoding, "_scans", {})
         satisfiable(Graph(5, frozenset()))
         cached = len(kernels._program_cache)
         verdicts = set()
@@ -253,7 +267,53 @@ class TestSatisfiability:
             assert satisfiable(g) == want
             verdicts.add(want)
         assert len(kernels._program_cache) == cached
+        assert len(encoding._scans) == 1
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n, chunk, block, seeds", [
+        (5, 7, 25, range(8)), (5, 1000, 125, range(8)), (6, 101, 216, range(4))])
+    def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, chunk, block, seeds):
+        # each graph alone on an empty cache, then all of them twice in one
+        # cache: a Hamiltonian graph leaves the scan part-way, the next graph
+        # reads the chunks it cached and resumes the scan, and the second
+        # round reads a finished scan
+        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+        monkeypatch.setattr(encoding, "_BLOCK", block)
+        seqs = step_vertex_block(n, 0, n**n)
+        graphs = [random_graph(Random(seed), n, edge_prob=0.3) for seed in seeds]
+        wants = [whole_formula_verdict(g, seqs) for g in graphs]
+        assert wants == [is_hamiltonian(g) is not None for g in graphs]
+        assert set(wants) == {True, False}
+        for g, want in zip(graphs, wants):
+            monkeypatch.setattr(encoding, "_scans", {})
+            assert satisfiable(g) == want
+        monkeypatch.setattr(encoding, "_scans", {})
+        for g, want in zip(graphs + graphs, wants + wants):
+            assert satisfiable(g) == want
+        assert encoding._scans[n].block == n ** (n - encoding._block_steps(n))
+
+    def test_scan_resumes_where_it_stopped_n8(self, monkeypatch):
+        # a Hamiltonian graph stops part-way, a non-Hamiltonian one reads
+        # its chunks and scans the rest: 8^3 blocks in all, then none
+        monkeypatch.setattr(encoding, "_scans", {})
+        blocks = []
+        block_columns = encoding._block_columns
+        monkeypatch.setattr(encoding, "_block_columns",
+                            lambda *args: blocks.append(args) or block_columns(*args))
+        ham, nonham = (random_graph(Random(seed), 8, edge_prob=0.3) for seed in (0, 2))
+        assert satisfiable(ham, cap=8)
+        assert 0 < len(blocks) < 8**3
+        assert not satisfiable(nonham, cap=8)
+        assert len(blocks) == 8**3
+        assert satisfiable(ham, cap=8) and not satisfiable(nonham, cap=8)
+        assert len(blocks) == 8**3
+
+    def test_import_does_no_scan(self):
+        # the scan fills on the first oracle call, never at import
+        code = "import nonham.cli, nonham.encoding as e; assert e._scans == {}, e._scans"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(encoding.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_n7_scan_crosses_blocks_and_matches_path_search(self):
         # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1
@@ -267,6 +327,27 @@ class TestSatisfiability:
             assert satisfiable(g) == want
             verdicts.add(want)
         assert verdicts == {True, False}
+
+
+class TestEdgeBans:
+    @staticmethod
+    def graphs():
+        for n in (1, 2, 3):
+            yield from enumerate_graphs(n)
+        for n in range(4, 8):
+            for seed in range(3):
+                yield random_graph(Random(seed), n, edge_prob=0.2 + 0.2 * seed)
+            yield Graph(n, frozenset(ordered_pairs(n)))
+
+    def test_helper_conjunction_is_the_encodings_part(self):
+        for g in self.graphs():
+            enc = encode_graph(g)
+            bans = edge_bans(g)
+            assert conjunction(list(bans.values())) is enc.parts["edge_ban"]
+            assert list(bans.values()) == enc.conjuncts["edge_ban"]
+            assert {key: pos for pos, key in enumerate(bans)} == enc.edge_pos
+            if not g.missing_pairs():
+                assert conjunction(list(bans.values())) is None
 
 
 class TestPinnedShapes:
