@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,72 +399,102 @@ class TestDagJson:
         assert sep_ids(again) == sep_ids(d)
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda doc: [],
-            lambda doc: {"kind": "dag", "root": 0},
-            lambda doc: dict(doc, nodes=[]),
-            lambda doc: dict(doc, nodes=[dict(doc["nodes"][0], id=9)] + doc["nodes"][1:]),
-            lambda doc: dict(doc, nodes=[dict(doc["nodes"][0], rule="Cut")] + doc["nodes"][1:]),
-            lambda doc: dict(doc, nodes=[dict(doc["nodes"][0], premises=["1"])] + doc["nodes"][1:]),
-            lambda doc: dict(doc, nodes=[dict(doc["nodes"][0], level="top")] + doc["nodes"][1:]),
-            lambda doc: dict(doc, nodes=[dict(doc["nodes"][0], formula="((")] + doc["nodes"][1:]),
-            lambda doc: dict(doc, root=99),
-            lambda doc: dict(doc, source_tree_weight="big"),
+            pytest.param(lambda doc: [],
+                         'dag document must be an object with "kind" "dag"', id="not-an-object"),
+            pytest.param(lambda doc: {"kind": "dag", "root": 0},
+                         "formula table must be a list", id="no-table-or-nodes"),
+            pytest.param(lambda doc: dict(doc, nodes=[]),
+                         "dag document must hold a nonempty node array", id="no-nodes"),
+            pytest.param(lambda doc: edit_node(doc, 0, id=9),
+                         "node 0: id must be the integer 0", id="wrong-node-id"),
+            pytest.param(lambda doc: edit_node(doc, 0, rule="Cut"),
+                         "dag node 0: unknown rule 'Cut'", id="unknown-rule"),
+            pytest.param(lambda doc: edit_node(doc, 0, premises=["1"]),
+                         "dag node 0: premises must be integer ids", id="string-premise"),
+            pytest.param(lambda doc: edit_node(doc, 0, level="top"),
+                         "dag node 0: level must be an integer", id="string-level"),
+            pytest.param(lambda doc: edit_node(doc, 0, formula="(("),
+                         "node 0: formula reference must be a table id", id="formula-text"),
+            pytest.param(lambda doc: dict(doc, root=99),
+                         "dag root must be a node id", id="root-out-of-range"),
+            pytest.param(lambda doc: dict(doc, source_tree_weight="big"),
+                         "source_tree_weight must be an integer or null",
+                         id="string-source-weight"),
         ],
     )
-    def test_corrupted_documents_rejected(self, mutate):
+    def test_corrupted_documents_rejected(self, mutate, message):
         p = imp_intro(hyp(q_var("a")), q_var("a"))
         doc = dag_to_json(tree_to_dag(p))
-        with pytest.raises(ProofFormatError):
+        with pytest.raises(ProofFormatError, match=f"^{re.escape(message)}$"):
             dag_from_json(mutate(doc))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
             pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "kind"},
-                         id="no-kind"),
-            pytest.param(lambda doc: dict(doc, kind="tree"), id="tree-kind"),
-            pytest.param(lambda doc: dict(doc, nodes="all"), id="nodes-not-a-list"),
-            pytest.param(lambda doc: dict(doc, nodes=[7]), id="node-not-an-object"),
-            pytest.param(lambda doc: dict(doc, nodes=[{"id": 0}]), id="missing-fields"),
+                         'dag document must be an object with "kind" "dag"', id="no-kind"),
+            pytest.param(lambda doc: dict(doc, kind="tree"),
+                         'dag document must be an object with "kind" "dag"', id="tree-kind"),
+            pytest.param(lambda doc: dict(doc, nodes="all"),
+                         "dag document must hold a nonempty node array", id="nodes-not-a-list"),
+            pytest.param(lambda doc: dict(doc, nodes=[7]),
+                         "node 0: not an object", id="node-not-an-object"),
+            pytest.param(lambda doc: dict(doc, nodes=[{"id": 0}]),
+                         "node 0: missing fields ['formula', 'level', 'premises', 'rule']",
+                         id="missing-fields"),
             pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "formulas"},
-                         id="no-table"),
-            pytest.param(lambda doc: dict(doc, formulas="Q_a"), id="table-not-a-list"),
+                         "formula table must be a list", id="no-table"),
+            pytest.param(lambda doc: dict(doc, formulas="Q_a"),
+                         "formula table must be a list", id="table-not-a-list"),
             pytest.param(lambda doc: dict(doc, formulas=[["->", 0, 1], ["var", "Q_a"]]),
+                         "formula 0: parts must be ids of earlier entries",
                          id="forward-formula-reference"),
             pytest.param(lambda doc: dict(doc, formulas=[["->", 0, 0]]),
+                         "formula 0: parts must be ids of earlier entries",
                          id="self-formula-reference"),
             pytest.param(lambda doc: dict(doc, formulas=[["var", "Q_a"], ["->", 0, 0, 0]]),
-                         id="wrong-arity"),
+                         "formula 1: malformed '->' entry", id="wrong-arity"),
             pytest.param(lambda doc: dict(doc, formulas=[["var", "Q_a"], ["=>", 0, 0]]),
-                         id="unknown-tag"),
+                         "formula 1: malformed '=>' entry", id="unknown-tag"),
             pytest.param(lambda doc: dict(doc, formulas=[["var", "X_1"], ["->", 0, 0]]),
-                         id="bad-variable-name"),
+                         "formula 0: bad variable name: 'X_1'", id="bad-variable-name"),
             pytest.param(lambda doc: edit_node(doc, 0, formula=5),
+                         "node 0: formula reference must be a table id",
                          id="formula-id-out-of-range"),
-            pytest.param(lambda doc: edit_node(doc, 0, formula=None), id="formula-id-null"),
-            pytest.param(lambda doc: edit_node(doc, 0, premises=1), id="premises-not-a-list"),
-            pytest.param(lambda doc: edit_node(doc, 0, id=True), id="boolean-node-id"),
-            pytest.param(lambda doc: edit_node(doc, 0, premises=[True]), id="boolean-premise"),
-            pytest.param(lambda doc: edit_node(doc, 0, level=False), id="boolean-level"),
+            pytest.param(lambda doc: edit_node(doc, 0, formula=None),
+                         "node 0: formula reference must be a table id", id="formula-id-null"),
+            pytest.param(lambda doc: edit_node(doc, 0, premises=1),
+                         "dag node 0: premises must be integer ids", id="premises-not-a-list"),
+            pytest.param(lambda doc: edit_node(doc, 0, id=True),
+                         "node 0: id must be the integer 0", id="boolean-node-id"),
+            pytest.param(lambda doc: edit_node(doc, 0, premises=[True]),
+                         "dag node 0: premises must be integer ids", id="boolean-premise"),
+            pytest.param(lambda doc: edit_node(doc, 0, level=False),
+                         "dag node 0: level must be an integer", id="boolean-level"),
             pytest.param(lambda doc: edit_node(doc, 0, formula=True),
-                         id="boolean-formula-ref"),
-            pytest.param(lambda doc: dict(doc, root=False), id="boolean-root"),
-            pytest.param(lambda doc: dict(doc, root=-1), id="negative-root"),
+                         "node 0: formula reference must be a table id", id="boolean-formula-ref"),
+            pytest.param(lambda doc: dict(doc, root=False),
+                         "dag root must be a node id", id="boolean-root"),
+            pytest.param(lambda doc: dict(doc, root=-1),
+                         "dag root must be a node id", id="negative-root"),
             pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "root"},
-                         id="no-root"),
+                         "dag root must be a node id", id="no-root"),
             pytest.param(lambda doc: dict(doc, source_tree_weight=True),
+                         "source_tree_weight must be an integer or null",
                          id="boolean-source-weight"),
-            pytest.param(lambda doc: dict(doc, had_duplicates="no"), id="string-duplicates"),
-            pytest.param(lambda doc: dict(doc, had_duplicates=0), id="integer-duplicates"),
+            pytest.param(lambda doc: dict(doc, had_duplicates="no"),
+                         "had_duplicates must be true or false", id="string-duplicates"),
+            pytest.param(lambda doc: dict(doc, had_duplicates=0),
+                         "had_duplicates must be true or false", id="integer-duplicates"),
         ],
     )
-    def test_malformed_documents_rejected(self, mutate):
+    def test_malformed_documents_rejected(self, mutate, message):
         p = imp_intro(hyp(q_var("a")), q_var("a"))
         doc = dag_to_json(tree_to_dag(p))
         dag_from_json(doc)
-        with pytest.raises(ProofFormatError):
+        with pytest.raises(ProofFormatError, match=f"^{re.escape(message)}$"):
             dag_from_json(mutate(doc))
 
     def test_document_layout(self):

@@ -1,6 +1,7 @@
 """Tests for proof trees: constructors, the checker of record, and JSON."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,69 +236,101 @@ class TestJson:
         assert rebuilt.premises[1] is rebuilt.premises[2]
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda d: [],
-            lambda d: d["nodes"],
-            lambda d: edit_node(d, 0, id=7),
-            lambda d: dict(d, nodes=[{k: v for k, v in d["nodes"][0].items() if k != "rule"}]
-                           + d["nodes"][1:]),
-            lambda d: edit_node(d, 0, rule="Cut"),
-            lambda d: edit_node(d, 1, premises=[5]),
-            lambda d: edit_node(d, 1, premises=["0"]),
-            lambda d: edit_node(d, 1, discharge=["Q_a"]),
-            lambda d: edit_node(d, 0, formula="(p ->"),
+            pytest.param(lambda d: [],
+                         'tree document must be an object with "kind" "tree"', id="not-an-object"),
+            pytest.param(lambda d: d["nodes"],
+                         'tree document must be an object with "kind" "tree"',
+                         id="bare-node-array"),
+            pytest.param(lambda d: edit_node(d, 0, id=7),
+                         "node 0: id must be the integer 0", id="wrong-node-id"),
+            pytest.param(lambda d: dict(d, nodes=[{k: v for k, v in d["nodes"][0].items()
+                                                   if k != "rule"}] + d["nodes"][1:]),
+                         "node 0: missing fields ['rule']", id="missing-rule"),
+            pytest.param(lambda d: edit_node(d, 0, rule="Cut"),
+                         "node 0: unknown rule 'Cut'", id="unknown-rule"),
+            pytest.param(lambda d: edit_node(d, 1, premises=[5]),
+                         "node 1: premises must reference earlier ids", id="later-premise"),
+            pytest.param(lambda d: edit_node(d, 1, premises=["0"]),
+                         "node 1: premises must reference earlier ids", id="string-premise"),
+            pytest.param(lambda d: edit_node(d, 1, discharge=["Q_a"]),
+                         "node 1: formula reference must be a table id", id="discharge-text"),
+            pytest.param(lambda d: edit_node(d, 0, formula="(p ->"),
+                         "node 0: formula reference must be a table id", id="formula-text"),
         ],
     )
-    def test_corrupted_documents_rejected(self, mutate):
+    def test_corrupted_documents_rejected(self, mutate, message):
         data = proof_to_json(identity_proof(A))
-        with pytest.raises(ProofFormatError):
+        with pytest.raises(ProofFormatError, match=f"^{re.escape(message)}$"):
             proof_from_json(mutate(data))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            pytest.param(lambda d: {k: v for k, v in d.items() if k != "kind"}, id="no-kind"),
-            pytest.param(lambda d: dict(d, kind="dag"), id="dag-kind"),
-            pytest.param(lambda d: dict(d, kind=["tree"]), id="unhashable-kind"),
-            pytest.param(lambda d: dict(d, nodes=[]), id="no-nodes"),
-            pytest.param(lambda d: dict(d, nodes={"0": d["nodes"][0]}), id="nodes-not-a-list"),
-            pytest.param(lambda d: dict(d, nodes=[0, 1]), id="node-not-an-object"),
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "kind"},
+                         'tree document must be an object with "kind" "tree"', id="no-kind"),
+            pytest.param(lambda d: dict(d, kind="dag"),
+                         'tree document must be an object with "kind" "tree"', id="dag-kind"),
+            pytest.param(lambda d: dict(d, kind=["tree"]),
+                         'tree document must be an object with "kind" "tree"',
+                         id="unhashable-kind"),
+            pytest.param(lambda d: dict(d, nodes=[]),
+                         "tree document must hold a nonempty node array", id="no-nodes"),
+            pytest.param(lambda d: dict(d, nodes={"0": d["nodes"][0]}),
+                         "tree document must hold a nonempty node array", id="nodes-not-a-list"),
+            pytest.param(lambda d: dict(d, nodes=[0, 1]),
+                         "node 0: not an object", id="node-not-an-object"),
             pytest.param(lambda d: {k: v for k, v in d.items() if k != "formulas"},
-                         id="no-table"),
+                         "formula table must be a list", id="no-table"),
             pytest.param(lambda d: dict(d, formulas={"0": ["var", "Q_a"]}),
-                         id="table-not-a-list"),
+                         "formula table must be a list", id="table-not-a-list"),
             pytest.param(lambda d: dict(d, formulas=[["->", 1, 1], ["var", "Q_a"]]),
+                         "formula 0: parts must be ids of earlier entries",
                          id="forward-formula-reference"),
             pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["->", 0, 1]]),
+                         "formula 1: parts must be ids of earlier entries",
                          id="self-formula-reference"),
             pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["->", 0]]),
-                         id="wrong-arity"),
+                         "formula 1: malformed '->' entry", id="wrong-arity"),
             pytest.param(lambda d: dict(d, formulas=[["var", "Q_a"], ["<-", 0, 0]]),
-                         id="unknown-tag"),
+                         "formula 1: malformed '<-' entry", id="unknown-tag"),
             pytest.param(lambda d: dict(d, formulas=[["var", "p"], ["->", 0, 0]]),
-                         id="bad-variable-name"),
-            pytest.param(lambda d: edit_node(d, 1, formula=2), id="formula-id-out-of-range"),
-            pytest.param(lambda d: edit_node(d, 1, formula=-1), id="formula-id-negative"),
+                         "formula 0: bad variable name: 'p'", id="bad-variable-name"),
+            pytest.param(lambda d: edit_node(d, 1, formula=2),
+                         "node 1: formula reference must be a table id",
+                         id="formula-id-out-of-range"),
+            pytest.param(lambda d: edit_node(d, 1, formula=-1),
+                         "node 1: formula reference must be a table id", id="formula-id-negative"),
             pytest.param(lambda d: edit_node(d, 1, discharge=[9]),
+                         "node 1: formula reference must be a table id",
                          id="discharge-id-out-of-range"),
             pytest.param(lambda d: edit_node(d, 1, discharge=0),
+                         "node 1: discharge must be a list of formula ids",
                          id="discharge-not-a-list"),
-            pytest.param(lambda d: edit_node(d, 1, premises=0), id="premises-not-a-list"),
-            pytest.param(lambda d: edit_node(d, 1, premises=[1]), id="self-premise"),
-            pytest.param(lambda d: edit_node(d, 0, id=False), id="boolean-node-id"),
-            pytest.param(lambda d: edit_node(d, 1, premises=[False]), id="boolean-premise"),
-            pytest.param(lambda d: edit_node(d, 1, formula=True), id="boolean-formula-ref"),
+            pytest.param(lambda d: edit_node(d, 1, premises=0),
+                         "node 1: premises must reference earlier ids", id="premises-not-a-list"),
+            pytest.param(lambda d: edit_node(d, 1, premises=[1]),
+                         "node 1: premises must reference earlier ids", id="self-premise"),
+            pytest.param(lambda d: edit_node(d, 0, id=False),
+                         "node 0: id must be the integer 0", id="boolean-node-id"),
+            pytest.param(lambda d: edit_node(d, 1, premises=[False]),
+                         "node 1: premises must reference earlier ids", id="boolean-premise"),
+            pytest.param(lambda d: edit_node(d, 1, formula=True),
+                         "node 1: formula reference must be a table id", id="boolean-formula-ref"),
             pytest.param(lambda d: edit_node(d, 1, discharge=[False]),
+                         "node 1: formula reference must be a table id",
                          id="boolean-discharge-ref"),
-            pytest.param(lambda d: edit_node(d, 1, formula=1.0), id="float-formula-ref"),
-            pytest.param(lambda d: edit_node(d, 1, rule="AndIntro"), id="intro-rule-removed"),
+            pytest.param(lambda d: edit_node(d, 1, formula=1.0),
+                         "node 1: formula reference must be a table id", id="float-formula-ref"),
+            pytest.param(lambda d: edit_node(d, 1, rule="AndIntro"),
+                         "node 1: unknown rule 'AndIntro'", id="intro-rule-removed"),
         ],
     )
-    def test_malformed_documents_rejected(self, mutate):
+    def test_malformed_documents_rejected(self, mutate, message):
         data = proof_to_json(identity_proof(A))
         proof_from_json(data)
-        with pytest.raises(ProofFormatError):
+        with pytest.raises(ProofFormatError, match=f"^{re.escape(message)}$"):
             proof_from_json(mutate(data))
 
     def test_bad_json_text(self):
