@@ -4,21 +4,31 @@ A document is one object:
 
     {"kind": "tree" | "dag", "formulas": [...], "nodes": [...], ...}
 
-`formulas` is a hash-consed formula table (`formulas.formulas_to_table`),
-and every formula a node names is an integer id into it, so each distinct
+`formulas` is a hash-consed formula table (`formulas.table_id`), and
+every formula a node names is an integer id into it, so each distinct
 formula is written and parsed once however often nodes repeat it. `nodes`
 is an array of node records whose `id` equals their position. Each kind
 adds its own node fields and top-level fields: `prooftree` and `dagproof`
-build and read those, and share everything here: the canonical text, the
-parser, the table and the checks on ids.
+write and read those, and share everything here: the canonical encoding,
+the parser, the header checks and the record errors.
 
-Ids, levels and references must be JSON integers: `true` and `false` are
-rejected even though Python counts them as ints. Every malformed document
-raises ProofFormatError; no other exception escapes.
+Writers format each record straight into text; the text is what
+`json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"` gives for
+the document, byte for byte. Readers check and build each record in one
+loop over the node array. Ids, levels and references must be JSON
+integers: `true` and `false` are rejected even though Python counts them
+as ints. Every malformed document raises ProofFormatError; no other
+exception escapes.
+
+Reading a document makes no reference cycles, so the readers pause the
+cyclic collector (`collector_paused`): the parsed document holds a few
+containers per record, and the collector's runs would traverse and
+promote them only to find nothing. Compression pauses it the same way.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 
 from .errors import ProofFormatError
@@ -26,10 +36,22 @@ from .formulas import Formula, formulas_from_table
 
 KINDS = ("tree", "dag")
 
+# The canonical encoding of one JSON value, for the values a writer does not
+# format itself (rule names and the dag's top-level fields).
+encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-def dumps_document(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+def collector_paused(fn, *args):
+    """Call `fn(*args)` with the cyclic collector paused, and leave the
+    collector as it was found, also when `fn` raises. For passes that make
+    no reference cycles, which reference counting alone frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def loads_document(text: str) -> dict:
@@ -45,32 +67,30 @@ def loads_document(text: str) -> dict:
     return data
 
 
-def open_document(data, kind: str, fields: frozenset[str]) -> tuple[list[Formula], list[dict]]:
-    """Check a parsed document of one kind down to its node records.
-
-    Returns the interned formula table and the node array. Each record is
-    an object with all of `fields` and an `id` equal to its position; the
-    other field values are the caller's to check.
-    """
+def open_document(data, kind: str) -> tuple[list[Formula], list]:
+    """Check a parsed document's header: its kind, its formula table and a
+    nonempty node array. Returns the interned table and the node array;
+    the records are the caller's to check."""
     if not isinstance(data, dict) or data.get("kind") != kind:
         raise ProofFormatError(f'{kind} document must be an object with "kind" "{kind}"')
     table = formulas_from_table(data.get("formulas"))
     records = data.get("nodes")
     if not isinstance(records, list) or not records:
         raise ProofFormatError(f"{kind} document must hold a nonempty node array")
-    for pos, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ProofFormatError(f"node {pos}: not an object")
-        missing = fields - rec.keys()
-        if missing:
-            raise ProofFormatError(f"node {pos}: missing fields {sorted(missing)}")
-        if type(rec["id"]) is not int or rec["id"] != pos:
-            raise ProofFormatError(f"node {pos}: id must be the integer {pos}")
     return table, records
 
 
-def formula_at(table: list[Formula], ref, pos: int) -> Formula:
-    """The table entry a node's formula reference names."""
-    if type(ref) is not int or not 0 <= ref < len(table):
-        raise ProofFormatError(f"node {pos}: formula reference must be a table id")
-    return table[ref]
+def record_error(rec, pos: int, fields: frozenset[str]) -> ProofFormatError:
+    """The error for node record `pos` when reading `fields` from it failed:
+    it is not an object, or it lacks some of them."""
+    if not isinstance(rec, dict):
+        return ProofFormatError(f"node {pos}: not an object")
+    return ProofFormatError(f"node {pos}: missing fields {sorted(fields - rec.keys())}")
+
+
+def id_error(pos: int) -> ProofFormatError:
+    return ProofFormatError(f"node {pos}: id must be the integer {pos}")
+
+
+def reference_error(pos: int) -> ProofFormatError:
+    return ProofFormatError(f"node {pos}: formula reference must be a table id")

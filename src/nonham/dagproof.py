@@ -30,8 +30,10 @@ site's premise sites always come after it, and every later pass runs in
 index order: forward for anything pushed from parents to children,
 backward for anything gathered from children. An `OriginMap` records where
 every site landed and how many occurrences it stands for. The pass makes
-no reference cycles (`TestNoReferenceCycles` guards the whole pipeline),
-so it pauses the cyclic collector, whose runs would find nothing.
+no reference cycles, and neither does reading a document back
+(`TestNoReferenceCycles` guards the whole pipeline, the tree document's
+round trip included), so `compress_horizontal` and `loads_dag` both pause
+the cyclic collector, whose runs would find nothing.
 
 `compress_and_verify` is the one copy of the whole sequence: compress,
 count incoherent separation nodes, cleanse, serialize, reload, and verify
@@ -40,10 +42,17 @@ the reloaded dag. The CLI, the bench and the acceptance tests all call it.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
-from .artifact import dumps_document, formula_at, loads_document, open_document
+from .artifact import (
+    collector_paused,
+    encode,
+    id_error,
+    loads_document,
+    open_document,
+    record_error,
+    reference_error,
+)
 from .errors import (
     IllFormedDagError,
     NoCoherentChoiceError,
@@ -51,7 +60,7 @@ from .errors import (
     ProofFormatError,
     UnsupportedRuleError,
 )
-from .formulas import IMP, Formula, formulas_to_table
+from .formulas import IMP, Formula, table_id
 from .prooftree import (
     HYP,
     IMP_ELIM,
@@ -119,13 +128,7 @@ def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     one level pass over its sites (see the module docstring). The cyclic
     collector is paused for the pass, which makes no reference cycles, and
     left as it was found."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _compress(p)
-    finally:
-        if enabled:
-            gc.enable()
+    return collector_paused(_compress, p)
 
 
 def _compress(p: ProofTree) -> tuple[DagProof, OriginMap]:
@@ -459,44 +462,54 @@ def dag_height(d: DagProof) -> int:
 _DAG_FIELDS = frozenset({"id", "rule", "formula", "premises", "level"})
 
 
-def dag_to_json(d: DagProof) -> dict:
-    """Dag document: the formula table, the node array (`formula` holds a
-    table id), the root and the source tree's weight."""
-    table, fid = formulas_to_table(node.formula for node in d.nodes)
-    return {
-        "kind": "dag",
-        "formulas": table,
-        "nodes": [
-            {
-                "id": i,
-                "rule": node.rule,
-                "formula": fid[node.formula],
-                "premises": list(node.premises),
-                "level": node.level,
-            }
-            for i, node in enumerate(d.nodes)
-        ],
-        "root": d.root,
-        "source_tree_weight": d.source_tree_weight,
-        "had_duplicates": d.had_duplicates,
-    }
+def dumps_dag(d: DagProof) -> str:
+    """Canonical JSON text of the dag document: the formula table, the node
+    array (`formula` holds a table id), the root and the source tree's
+    weight."""
+    index: dict[Formula, int] = {}
+    table: list[str] = []
+    rules: dict[str, str] = {}
+    records: list[str] = []
+    for i, node in enumerate(d.nodes):
+        fi = index.get(node.formula)
+        if fi is None:
+            fi = table_id(node.formula, index, table)
+        rule = rules.get(node.rule)
+        if rule is None:
+            rule = rules[node.rule] = encode(node.rule)
+        records.append(f'{{"formula":{fi},"id":{i},"level":{node.level},'
+                       f'"premises":[{",".join(map(str, node.premises))}],"rule":{rule}}}')
+    return (f'{{"formulas":[{",".join(table)}],"had_duplicates":{encode(d.had_duplicates)},'
+            f'"kind":"dag","nodes":[{",".join(records)}],"root":{encode(d.root)},'
+            f'"source_tree_weight":{encode(d.source_tree_weight)}}}\n')
 
 
 def dag_from_json(data) -> DagProof:
     """Rebuild a dag from its document. Schema errors raise ProofFormatError;
     premise ranges are left to `verify_dag`."""
-    table, records = open_document(data, "dag", _DAG_FIELDS)
+    table, records = open_document(data, "dag")
+    size = len(table)
     nodes: list[DagNode] = []
     for pos, rec in enumerate(records):
-        if rec["rule"] not in DAG_RULES:
-            raise ProofFormatError(f"dag node {pos}: unknown rule {rec['rule']!r:.40}")
-        prem = rec["premises"]
-        if not isinstance(prem, list) or not all(type(q) is int for q in prem):
+        try:
+            rid, rule, ref = rec["id"], rec["rule"], rec["formula"]
+            prem, level = rec["premises"], rec["level"]
+        except (KeyError, TypeError):
+            raise record_error(rec, pos, _DAG_FIELDS) from None
+        if type(rid) is not int or rid != pos:
+            raise id_error(pos)
+        if rule not in DAG_RULES:
+            raise ProofFormatError(f"dag node {pos}: unknown rule {rule!r:.40}")
+        if not isinstance(prem, list):
             raise ProofFormatError(f"dag node {pos}: premises must be integer ids")
-        if type(rec["level"]) is not int:
+        for q in prem:
+            if type(q) is not int:
+                raise ProofFormatError(f"dag node {pos}: premises must be integer ids")
+        if type(level) is not int:
             raise ProofFormatError(f"dag node {pos}: level must be an integer")
-        nodes.append(DagNode(formula_at(table, rec["formula"], pos), rec["rule"],
-                             tuple(prem), rec["level"]))
+        if type(ref) is not int or not 0 <= ref < size:
+            raise reference_error(pos)
+        nodes.append(DagNode(table[ref], rule, tuple(prem), level))
     root = data.get("root")
     if not (type(root) is int and 0 <= root < len(nodes)):
         raise ProofFormatError("dag root must be a node id")
@@ -510,12 +523,12 @@ def dag_from_json(data) -> DagProof:
                     had_duplicates=had_duplicates)
 
 
-def dumps_dag(d: DagProof) -> str:
-    """Canonical JSON text of the dag document."""
-    return dumps_document(dag_to_json(d))
-
-
 def loads_dag(text: str) -> DagProof:
+    """Read a dag document with the cyclic collector paused."""
+    return collector_paused(_loads_dag, text)
+
+
+def _loads_dag(text: str) -> DagProof:
     return dag_from_json(loads_document(text))
 
 

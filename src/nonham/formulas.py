@@ -18,7 +18,7 @@ conversion, kernel compilation and the implicational translation all run on
 it. `to_text` is a different walk: it visits every occurrence,
 not every distinct formula, and stops at its limit.
 
-Artifacts store formulas as a table (`formulas_to_table`,
+Artifacts store formulas as a table (`table_id`,
 `formulas_from_table`) that keeps the in-memory sharing: one entry per
 distinct formula, children before parents, each entry naming its children
 by table index. Text (`to_text`) is only written, for reports and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Union
+from typing import Container, Iterator, Union
 
 from .errors import ProofFormatError
 
@@ -248,36 +248,34 @@ _TABLE_TAG = {AND: "&", OR: "|", IMP: "->"}
 _TAG_KIND = {tag: kind for kind, tag in _TABLE_TAG.items()}
 
 
-def formulas_to_table(roots: Iterable[Formula]) -> tuple[list[list], dict[Formula, int]]:
-    """Table entries for every distinct subformula of the roots, plus each
-    formula's index in the table.
+def table_id(f: Formula, index: dict[Formula, int], entries: list[str]) -> int:
+    """The table id of `f`, after appending the JSON text of each of its
+    subformulas not yet in `index` to `entries` and recording its id.
 
-    Entries come in first-use order of a left-to-right postorder walk over
-    the roots in turn, so children always precede parents: `["false"]`,
-    `["var", name]`, or `[op, i, j]` with `op` one of `->`, `&`, `|` and
-    `i`, `j` the indices of the left and right parts.
+    A writer calls this on every formula it names, in order, with one index
+    and one entry list per document. Entries then come in first-use order of
+    a left-to-right postorder walk over those formulas, so children always
+    precede parents: `["false"]`, `["var",name]`, or `[op,i,j]` with `op`
+    one of `->`, `&`, `|` and `i`, `j` the ids of the left and right parts.
+    The text is the canonical JSON of the entry: variable names hold only
+    letters, digits and underscores, so they need no escaping.
     """
-    index: dict[Formula, int] = {}
-    entries: list[list] = []
-    for root in roots:
-        if root in index:
-            continue
-        for f in subformulas(root, index):
-            k = f.kind
-            if k == BOT:
-                entry = ["false"]
-            elif k == VAR:
-                entry = ["var", f.var.name]
-            else:
-                entry = [_TABLE_TAG[k], index[f.left], index[f.right]]
-            index[f] = len(entries)
-            entries.append(entry)
-    return entries, index
+    for g in subformulas(f, index):
+        k = g.kind
+        if k == BOT:
+            entry = '["false"]'
+        elif k == VAR:
+            entry = f'["var","{g.var.name}"]'
+        else:
+            entry = f'["{_TABLE_TAG[k]}",{index[g.left]},{index[g.right]}]'
+        index[g] = len(entries)
+        entries.append(entry)
+    return index[f]
 
 
 def formulas_from_table(entries) -> list[Formula]:
     """Intern every entry of a formula table once; the inverse of
-    `formulas_to_table`. Each entry may only refer to earlier entries, and
+    `table_id`. Each entry may only refer to earlier entries, and
     none may weigh more than MAX_TABLE_WEIGHT.
 
     Any malformed table raises ProofFormatError.
@@ -289,22 +287,23 @@ def formulas_from_table(entries) -> list[Formula]:
         if not isinstance(entry, list) or not entry or type(entry[0]) is not str:
             raise ProofFormatError(f"formula {pos}: entry must be a list starting with a tag")
         tag, size = entry[0], len(entry)
-        if tag == "false" and size == 1:
-            out.append(bot())
-        elif tag == "var" and size == 2 and type(entry[1]) is str:
-            try:
-                name = parse_var_name(entry[1])
-            except ValueError as exc:
-                raise ProofFormatError(f"formula {pos}: {exc}") from None
-            out.append(_mk(VAR, name, None, None))
-        elif tag in _TAG_KIND and size == 3:
+        kind = _TAG_KIND.get(tag)
+        if kind is not None and size == 3:
             i, j = entry[1], entry[2]
             if not (type(i) is int and type(j) is int and 0 <= i < pos and 0 <= j < pos):
                 raise ProofFormatError(f"formula {pos}: parts must be ids of earlier entries")
             left, right = out[i], out[j]
             if left.weight + right.weight + 1 > MAX_TABLE_WEIGHT:
                 raise ProofFormatError(f"formula {pos}: weight exceeds {MAX_TABLE_WEIGHT}")
-            out.append(_mk(_TAG_KIND[tag], None, left, right))
+            out.append(_mk(kind, None, left, right))
+        elif tag == "var" and size == 2 and type(entry[1]) is str:
+            try:
+                name = parse_var_name(entry[1])
+            except ValueError as exc:
+                raise ProofFormatError(f"formula {pos}: {exc}") from None
+            out.append(_mk(VAR, name, None, None))
+        elif tag == "false" and size == 1:
+            out.append(bot())
         else:
             raise ProofFormatError(f"formula {pos}: malformed {tag[:20]!r} entry")
     return out

@@ -31,16 +31,24 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .artifact import dumps_document, formula_at, loads_document, open_document
+from .artifact import (
+    collector_paused,
+    encode,
+    id_error,
+    loads_document,
+    open_document,
+    record_error,
+    reference_error,
+)
 from .errors import IllFormedProofError, ProofFormatError
 from .formulas import (
     AND,
     IMP,
     OR,
     Formula,
-    formulas_to_table,
     imp,
     subformulas,
+    table_id,
     to_text,
 )
 
@@ -345,26 +353,35 @@ def subformula_ok(p: ProofTree, open_assumptions: frozenset[Formula]) -> bool:
 _TREE_FIELDS = frozenset({"id", "rule", "formula", "premises", "discharge"})
 
 
-def proof_to_json(p: ProofTree) -> dict:
-    """Tree document: the formula table, then the node array in dependency
-    order; node ids are positions, the root is last, and `formula` and
-    `discharge` hold table ids."""
-    order = list(iter_nodes(p))
-    table, fid = formulas_to_table(
-        f for node in order for f in (node.conclusion, *node.discharge)
-    )
-    ids = {id(node): pos for pos, node in enumerate(order)}
-    nodes = [
-        {
-            "id": pos,
-            "rule": node.rule,
-            "formula": fid[node.conclusion],
-            "premises": [ids[id(q)] for q in node.premises],
-            "discharge": [fid[d] for d in node.discharge],
-        }
-        for pos, node in enumerate(order)
-    ]
-    return {"kind": "tree", "formulas": table, "nodes": nodes}
+def dumps_proof(p: ProofTree) -> str:
+    """Canonical JSON text of the tree document: the formula table, then the
+    node array in dependency order. Node ids are positions, the root is
+    last, and `formula` and `discharge` hold table ids."""
+    index: dict[Formula, int] = {}
+    table: list[str] = []
+    ids: dict[int, int] = {}
+    rules: dict[str, str] = {}
+    records: list[str] = []
+    for pos, node in enumerate(iter_nodes(p)):
+        ids[id(node)] = pos
+        fi = index.get(node.conclusion)
+        if fi is None:
+            fi = table_id(node.conclusion, index, table)
+        dis = []
+        for d in node.discharge:
+            di = index.get(d)
+            if di is None:
+                di = table_id(d, index, table)
+            dis.append(str(di))
+        prem = []
+        for q in node.premises:
+            prem.append(str(ids[id(q)]))
+        rule = rules.get(node.rule)
+        if rule is None:
+            rule = rules[node.rule] = encode(node.rule)
+        records.append(f'{{"discharge":[{",".join(dis)}],"formula":{fi},"id":{pos},'
+                       f'"premises":[{",".join(prem)}],"rule":{rule}}}')
+    return f'{{"formulas":[{",".join(table)}],"kind":"tree","nodes":[{",".join(records)}]}}\n'
 
 
 def proof_from_json(data) -> ProofTree:
@@ -373,33 +390,43 @@ def proof_from_json(data) -> ProofTree:
     Schema errors raise ProofFormatError. The result is *not* checked;
     run `check_tree` on it.
     """
-    table, records = open_document(data, "tree", _TREE_FIELDS)
+    table, records = open_document(data, "tree")
+    size = len(table)
     built: list[ProofTree] = []
     for pos, rec in enumerate(records):
-        rule = rec["rule"]
+        try:
+            rid, rule, ref = rec["id"], rec["rule"], rec["formula"]
+            prem_ids, dis = rec["premises"], rec["discharge"]
+        except (KeyError, TypeError):
+            raise record_error(rec, pos, _TREE_FIELDS) from None
+        if type(rid) is not int or rid != pos:
+            raise id_error(pos)
         if rule not in RULES:
             raise ProofFormatError(f"node {pos}: unknown rule {rule!r:.40}")
-        prem_ids = rec["premises"]
-        if not isinstance(prem_ids, list) or not all(
-            type(i) is int and 0 <= i < pos for i in prem_ids
-        ):
+        if not isinstance(prem_ids, list):
             raise ProofFormatError(f"node {pos}: premises must reference earlier ids")
-        dis = rec["discharge"]
+        premises = []
+        for i in prem_ids:
+            if type(i) is not int or not 0 <= i < pos:
+                raise ProofFormatError(f"node {pos}: premises must reference earlier ids")
+            premises.append(built[i])
         if not isinstance(dis, list):
             raise ProofFormatError(f"node {pos}: discharge must be a list of formula ids")
-        built.append(ProofTree(
-            formula_at(table, rec["formula"], pos),
-            rule,
-            tuple(built[i] for i in prem_ids),
-            tuple(formula_at(table, d, pos) for d in dis),
-        ))
+        if type(ref) is not int or not 0 <= ref < size:
+            raise reference_error(pos)
+        discharge = []
+        for d in dis:
+            if type(d) is not int or not 0 <= d < size:
+                raise reference_error(pos)
+            discharge.append(table[d])
+        built.append(ProofTree(table[ref], rule, premises, discharge))
     return built[-1]
 
 
-def dumps_proof(p: ProofTree) -> str:
-    """Canonical JSON text of the tree document."""
-    return dumps_document(proof_to_json(p))
-
-
 def loads_proof(text: str) -> ProofTree:
+    """Read a tree document with the cyclic collector paused."""
+    return collector_paused(_loads_proof, text)
+
+
+def _loads_proof(text: str) -> ProofTree:
     return proof_from_json(loads_document(text))

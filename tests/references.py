@@ -4,21 +4,23 @@ They are the plain versions of what `nonham` does faster: the full truth
 table and the n^n vertex-sequence table as bool and int rows, a formula's
 truth value under one assignment, a graph rebuilt from its id and written
 as text, the Hamiltonian path search as a scan over every permutation, the
-translated goal's axiom fold built formula by formula, and a tree proof
-embedded as a dag with one node per occurrence.
+translated goal's axiom fold built formula by formula, a tree proof
+embedded as a dag with one node per occurrence, and documents and formula
+tables as the parsed JSON values the writers' text stands for.
 """
 
 import itertools
+import json
 from typing import Mapping
 
 import numpy as np
 
-from nonham.dagproof import DagNode, DagProof
+from nonham.dagproof import DagNode, DagProof, dumps_dag
 from nonham.errors import NonhamError, UnsupportedRuleError
-from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas
+from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas, table_id
 from nonham.graphs import Graph, ordered_pairs
 from nonham.implicational import Translation
-from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree
+from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree, dumps_proof
 
 
 def step_vertex_block(n: int, lo: int, hi: int) -> np.ndarray:
@@ -123,3 +125,23 @@ def tree_to_dag(p: ProofTree) -> DagProof:
     weight = sum(n.formula.weight for n in nodes)
     return DagProof(nodes=nodes, root=0, source_tree_weight=weight,
                     had_duplicates=False)
+
+
+def proof_to_json(p: ProofTree) -> dict:
+    """The tree document of `p` as a JSON value."""
+    return json.loads(dumps_proof(p))
+
+
+def dag_to_json(d: DagProof) -> dict:
+    """The dag document of `d` as a JSON value."""
+    return json.loads(dumps_dag(d))
+
+
+def formulas_to_table(roots) -> tuple[list[list], dict[Formula, int]]:
+    """The formula table a writer naming `roots` in turn builds, as a JSON
+    value, plus each formula's id in it."""
+    index: dict[Formula, int] = {}
+    entries: list[str] = []
+    for root in roots:
+        table_id(root, index, entries)
+    return json.loads("[" + ",".join(entries) + "]"), index

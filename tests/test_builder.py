@@ -236,6 +236,15 @@ class TestBuildRefutation:
         assert hashlib.sha256(dumps_proof(report.proof).encode()).hexdigest() == digest
         assert (report.tower_height, report.leaf_count) == (tower_height, leaf_count)
 
+    @pytest.mark.parametrize("family, n, mode, cap", [row[:4] for row in PINNED],
+                             ids=[f"{row[0]}{row[1]}-{row[2]}" for row in PINNED])
+    def test_pinned_proofs_reload_to_the_same_bytes(self, family, n, mode, cap):
+        g = (empty_graph if family == "empty" else chain_graph)(n)
+        report, q = refute_and_translate(g, mode=mode, cap=cap)
+        for p in (report.proof, q):
+            text = dumps_proof(p)
+            assert dumps_proof(loads_proof(text)) == text
+
     # recorded at be897ae, for the translations of the PINNED proofs: the
     # uncollapsed dag with its S nodes, its collapse, the occurrences the
     # origin map stands for and the incoherent S nodes
@@ -356,13 +365,17 @@ class TestNoReferenceCycles:
         # one run first, so module-level caches filled on first use are not
         # counted; then every object a run creates must be freed by its
         # reference count alone
-        compress_and_verify(refute_and_translate(g)[1])
+        q = refute_and_translate(g)[1]
+        compress_and_verify(q)
+        loads_proof(dumps_proof(q))
+        del q
         gc.collect()
         gc.disable()
         try:
             report, q = refute_and_translate(g)
             compress_and_verify(q)
-            del report, q
+            reloaded = loads_proof(dumps_proof(q))
+            del report, q, reloaded
             assert gc.collect() == 0
         finally:
             gc.enable()

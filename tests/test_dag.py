@@ -19,7 +19,6 @@ from nonham.dagproof import (
     compress_horizontal,
     dag_from_json,
     dag_height,
-    dag_to_json,
     dumps_dag,
     loads_dag,
     verify_dag,
@@ -31,10 +30,11 @@ from nonham.errors import (
     ProofFormatError,
     UnsupportedRuleError,
 )
-from nonham.formulas import IMP, bot, conj, imp, q_var, x_var
+from nonham.formulas import IMP, bot, conj, disj, imp, q_var, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian
 from nonham.implicational import translate_formula, translate_proof
 from nonham.prooftree import (
+    ProofTree,
     and_elim_l,
     and_elim_r,
     check_tree,
@@ -43,9 +43,9 @@ from nonham.prooftree import (
     imp_elim,
     imp_intro,
     loads_proof,
-    proof_to_json,
+    or_elim,
 )
-from references import tree_to_dag
+from references import dag_to_json, proof_to_json, tree_to_dag
 
 A, B, C, R = (q_var(name) for name in "abcr")
 
@@ -237,8 +237,37 @@ class TestCollectorPause:
             compress_horizontal(p)
         assert gc.isenabled()
 
-    def test_the_pass_runs_no_collection(self):
-        q, _, _ = pipeline(Graph(3, frozenset()))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("dumps, loads", [(dumps_proof, loads_proof), (dumps_dag, loads_dag)],
+                             ids=["tree", "dag"])
+    def test_loads_leaves_the_collector_as_it_found_it(self, dumps, loads, enabled):
+        artifact = two_derivations_proof()
+        if dumps is dumps_dag:
+            artifact = compress_horizontal(artifact)[0]
+        text = dumps(artifact)
+        (gc.enable if enabled else gc.disable)()
+        assert dumps(loads(text)) == text
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("to_json, loads", [(proof_to_json, loads_proof),
+                                                (dag_to_json, loads_dag)], ids=["tree", "dag"])
+    def test_a_malformed_record_mid_read_reenables_the_collector(self, to_json, loads):
+        artifact = two_derivations_proof()
+        if to_json is dag_to_json:
+            artifact = compress_horizontal(artifact)[0]
+        doc = to_json(artifact)
+        last = len(doc["nodes"]) - 1
+        gc.enable()
+        with pytest.raises(ProofFormatError, match=f"^(dag )?node {last}: unknown rule"):
+            loads(json.dumps(edit_node(doc, last, rule="Cut")))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("stage", ["compress", "loads_proof", "loads_dag"])
+    def test_the_pass_runs_no_collection(self, stage):
+        q, _, c = pipeline(Graph(3, frozenset()))
+        run, arg = {"compress": (compress_horizontal, q),
+                    "loads_proof": (loads_proof, dumps_proof(q)),
+                    "loads_dag": (loads_dag, c.text)}[stage]
         runs = []
 
         def count(phase, info):
@@ -248,7 +277,7 @@ class TestCollectorPause:
         gc.enable()
         gc.callbacks.append(count)
         try:
-            compress_horizontal(q)
+            run(arg)
         finally:
             gc.callbacks.remove(count)
         assert runs == []
@@ -601,6 +630,28 @@ class TestEmbeddingAgreement:
             again = loads_dag(text)
             assert dumps_dag(again) == text
             assert again.conclusion is p.conclusion
+
+
+def canonical(text):
+    """The text `json.dumps` writes for the value `text` parses to."""
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestCanonicalText:
+    @given(implicational_proofs(), st.one_of(st.just("Cut"), st.text(max_size=12)))
+    @settings(max_examples=80)
+    def test_writers_emit_the_canonical_json_of_their_document(self, p, rule):
+        dag, origin = compress_horizontal(p)
+        texts = [
+            dumps_proof(p),
+            dumps_proof(ProofTree(p.conclusion, rule, (p,))),
+            dumps_proof(or_elim(hyp(disj(A, B)), p, p)),
+            dumps_dag(dag),
+            dumps_dag(cleanse(dag, origin, source=p, strict=False)),
+            dumps_dag(DagProof([DagNode(p.conclusion, rule, (), 0)])),
+        ]
+        for text in texts:
+            assert text == canonical(text)
 
 
 def reference_compress(p):

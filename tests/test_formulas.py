@@ -23,7 +23,6 @@ from nonham.formulas import (
     conj,
     disj,
     formulas_from_table,
-    formulas_to_table,
     imp,
     is_implicational,
     parse_var_name,
@@ -34,7 +33,7 @@ from nonham.formulas import (
     weight,
     x_var,
 )
-from references import UnboundVariableError, eval_formula
+from references import UnboundVariableError, eval_formula, formulas_to_table
 
 A = q_var("a")
 B = q_var("b")

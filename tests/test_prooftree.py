@@ -22,9 +22,9 @@ from nonham.prooftree import (
     loads_proof,
     or_elim,
     proof_from_json,
-    proof_to_json,
     subformula_ok,
 )
+from references import proof_to_json
 
 A, B, C, D = (q_var(name) for name in "abcd")
 
