@@ -262,12 +262,10 @@ class TestCollectorPause:
             loads(json.dumps(edit_node(doc, last, rule="Cut")))
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("stage", ["compress", "loads_proof", "loads_dag"])
-    def test_the_pass_runs_no_collection(self, stage):
-        q, _, c = pipeline(Graph(3, frozenset()))
-        run, arg = {"compress": (compress_horizontal, q),
-                    "loads_proof": (loads_proof, dumps_proof(q)),
-                    "loads_dag": (loads_dag, c.text)}[stage]
+    @staticmethod
+    def collections_during(run, arg):
+        """Generations of the collector runs started by `run(arg)`, called
+        with the collector enabled."""
         runs = []
 
         def count(phase, info):
@@ -280,7 +278,16 @@ class TestCollectorPause:
             run(arg)
         finally:
             gc.callbacks.remove(count)
-        assert runs == []
+        return runs
+
+    def test_the_pass_runs_no_collection(self):
+        q, _, _ = pipeline(Graph(3, frozenset()))
+        assert self.collections_during(compress_horizontal, q) == []
+
+    def test_loads_runs_no_collection(self):
+        q, _, c = pipeline(Graph(3, frozenset()))
+        assert self.collections_during(loads_proof, dumps_proof(q)) == []
+        assert self.collections_during(loads_dag, c.text) == []
 
 
 class TestPipelineOutcomes:
