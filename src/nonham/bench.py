@@ -1,10 +1,10 @@
 """End-to-end pipeline benchmark: families of graphs, CSV rows, growth fit.
 
-For each non-Hamiltonian graph the full pipeline runs (encode, refute,
-translate, compress, cleanse), every artifact is re-checked from its
-serialized form, and one CSV row is emitted. Dag verification verdicts are
-recorded on the row rather than aborting the run: a cleansed dag the
-verifier rejects, or a separation node no source thread survives, is an
+`run_pipeline` is the one copy of the stage sequence: refute, translate,
+check, replay the tree document, and compress. For each non-Hamiltonian
+graph it runs once, every artifact is re-checked from its serialized form,
+and one CSV row is emitted. Dag verification verdicts are recorded on the
+row rather than aborting the run: a cleansed dag the verifier rejects is an
 experimental outcome of the compression and the sizes are still the point.
 The growth summary fits log(dag weight) against log(translated-goal
 weight) by least squares and reports the slope with a 95% confidence
@@ -21,13 +21,13 @@ from random import Random
 
 import numpy as np
 
-from .builder import build_refutation, builder_limit, check_builder_cap
-from .dagproof import compress_and_verify
+from .builder import BuildReport, build_refutation, builder_limit, check_builder_cap
+from .dagproof import Compression, compress_and_verify
 from .errors import NonhamError
 from .formulas import weight
 from .graphs import Graph, is_hamiltonian, random_graph
 from .implicational import translate_formula, translate_proof
-from .prooftree import check_tree, dumps_proof, loads_proof
+from .prooftree import Metrics, ProofTree, check_tree, dumps_proof, loads_proof
 
 CSV_FIELDS = (
     "n",
@@ -57,8 +57,7 @@ class BenchRow:
     dag_height: int
     compression_ratio: float
     wall_time_ms: int
-    # verdicts ride along but stay out of the pinned CSV schema
-    incoherent_s: int = 0
+    # the verdict rides along but stays out of the pinned CSV schema
     dag_verified: bool = False
 
     def csv_values(self, timing: bool = True) -> list[str]:
@@ -114,38 +113,56 @@ def family_graphs(family: str, n_values, seed: int = 0, count: int = 1) -> list[
     return out
 
 
-def pipeline_row(g: Graph, mode: str = "auto", cap: int | None = None) -> BenchRow:
-    """Run the whole pipeline on one graph, re-check every artifact from
-    its serialized bytes, and report sizes plus verification verdicts.
+@dataclass
+class PipelineResult:
+    """The artifacts of one graph's run: the refutation's build report, its
+    translation `proof` with `metrics`, `text`, the tree document the
+    metrics were replayed from, and the compression of the translation."""
 
-    Tree-side failures abort the row (they would mean a builder bug); the
-    dag verifier's verdict on the cleansed output is recorded, not raised.
+    report: BuildReport
+    proof: ProofTree
+    metrics: Metrics
+    text: str
+    compression: Compression
+
+
+def run_pipeline(g: Graph, mode: str = "auto", cap: int | None = None) -> PipelineResult:
+    """Refute `g`, translate the refutation, check that the translation is
+    closed and replays from its serialized bytes, then compress it.
+
+    Tree-side failures raise NonhamError (they would mean a builder bug);
+    the dag verifier's verdict on the cleansed output is recorded on the
+    compression, not raised.
     """
-    t0 = time.perf_counter()
     report = build_refutation(g, mode=mode, cap=cap)
-    translation = translate_formula(report.proof.conclusion)
-    imp_proof = translate_proof(report.proof, translation)
-    tree_metrics = check_tree(imp_proof)
-    if tree_metrics.open_assumptions:
+    proof = translate_proof(report.proof, translate_formula(report.proof.conclusion))
+    metrics = check_tree(proof)
+    if metrics.open_assumptions:
         raise NonhamError("translated proof is not closed")
-
-    if check_tree(loads_proof(dumps_proof(imp_proof))) != tree_metrics:
+    text = dumps_proof(proof)
+    if check_tree(loads_proof(text)) != metrics:
         raise NonhamError("tree proof does not replay from its serialization")
-    c = compress_and_verify(imp_proof)
+    return PipelineResult(report, proof, metrics, text, compress_and_verify(proof))
 
+
+def pipeline_row(g: Graph, mode: str = "auto", cap: int | None = None) -> BenchRow:
+    """`run_pipeline` on one graph, reported as sizes plus the dag verdict,
+    with the whole run's wall time."""
+    t0 = time.perf_counter()
+    r = run_pipeline(g, mode=mode, cap=cap)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    m, c = r.metrics, r.compression
     return BenchRow(
         n=g.n,
         graph_id=g.graph_id,
-        rho_weight=weight(imp_proof.conclusion),
-        tree_height=tree_metrics.height,
-        tree_weight=tree_metrics.weight,
-        tree_distinct_weight=tree_metrics.distinct_formula_weight,
+        rho_weight=weight(r.proof.conclusion),
+        tree_height=m.height,
+        tree_weight=m.weight,
+        tree_distinct_weight=m.distinct_formula_weight,
         dag_weight=c.weight,
         dag_height=c.height,
-        compression_ratio=tree_metrics.weight / c.weight,
+        compression_ratio=m.weight / c.weight,
         wall_time_ms=elapsed_ms,
-        incoherent_s=c.incoherent,
         dag_verified=c.verified,
     )
 
@@ -219,15 +236,6 @@ def run_bench(family: str, n_values, seed: int = 0, count: int = 1,
         except NonhamError as exc:
             print(f"bench: n={n} graph_id={g.graph_id}: {exc}", file=sys.stderr)
     return rows
-
-
-def verdict_summary(rows: list[BenchRow]) -> str:
-    """One line counting dag verdicts and coherence failures over the rows."""
-    total = len(rows)
-    verified = sum(1 for r in rows if r.dag_verified)
-    coherent = sum(1 for r in rows if r.incoherent_s == 0)
-    return (f"dag verdicts: {verified}/{total} verified, "
-            f"{coherent}/{total} with a coherent collapse choice")
 
 
 def rows_to_csv(rows: list[BenchRow], timing: bool = True) -> str:

@@ -35,9 +35,10 @@ no reference cycles, and neither does reading a document back
 round trip included), so `compress_horizontal` and `loads_dag` both pause
 the cyclic collector, whose runs would find nothing.
 
-`compress_and_verify` is the one copy of the whole sequence: compress,
-count incoherent separation nodes, cleanse, serialize, reload, and verify
-the reloaded dag. The CLI, the bench and the acceptance tests all call it.
+`compress_and_verify` is the one copy of the compression sequence:
+compress, cleanse, serialize, reload, and verify the reloaded dag. `nonham
+compress` calls it, and so does `bench.run_pipeline`, the stage sequence
+the bench and the acceptance tests share.
 """
 
 from __future__ import annotations
@@ -299,10 +300,11 @@ def cleanse(d: DagProof, om: OriginMap | None = None, source=None,
 
     With an origin map, separation nodes through which no source thread
     survives the collapse raise NoCoherentChoiceError (strict, the default)
-    or are still collapsed deterministically (strict=False; the caller is
-    expected to have recorded `coherence_failures` first). The failure is
-    an experimental outcome of the compression, not a malfunction, and the
-    collapsed dag still exists either way; `verify_dag` is the arbiter.
+    or are still collapsed deterministically (strict=False). Without an
+    origin map nothing is checked, and the collapse is the same. The
+    failure is an experimental outcome of the compression, not a
+    malfunction, and the collapsed dag still exists either way;
+    `verify_dag` is the arbiter.
 
     Premise ids must follow their node, as in every dag `compress_horizontal`
     builds and every serialized one; any other id raises IllFormedDagError.
@@ -545,7 +547,6 @@ class Compression:
     dag: DagProof
     cleansed: DagProof
     text: str
-    incoherent: int
     weight: int
     height: int
     open_set: frozenset[Formula]
@@ -567,11 +568,10 @@ def compress_and_verify(p: ProofTree) -> Compression:
     compression and are recorded, not raised; any other verifier rejection
     raises, and so does a reloaded conclusion that is not `p`'s.
     """
-    dag, origin = compress_horizontal(p)
-    incoherent = len(coherence_failures(dag, origin))
-    text = dumps_dag(cleanse(dag, origin, source=p, strict=False))
+    dag = compress_horizontal(p)[0]
+    text = dumps_dag(cleanse(dag))
     cleansed = loads_dag(text)
     if cleansed.conclusion is not p.conclusion:
         raise IllFormedDagError(cleansed.root, "conclusion drifted from the source proof")
     m = _measure(cleansed)
-    return Compression(dag, cleansed, text, incoherent, m.weight, m.height, m.open_assumptions)
+    return Compression(dag, cleansed, text, m.weight, m.height, m.open_assumptions)

@@ -21,9 +21,10 @@ from nonham.bench import (
     fit_rows,
     rows_to_csv,
     run_bench,
+    run_pipeline,
 )
 from nonham.builder import build_refutation
-from nonham.dagproof import compress_and_verify, verify_dag
+from nonham.dagproof import verify_dag
 from nonham.encoding import satisfiable
 from nonham.errors import IllFormedProofError, OpenAssumptionsError
 from nonham.formulas import bot, imp, is_implicational, q_var, weight
@@ -237,19 +238,14 @@ def test_criterion_5_compression_soundness():
         for n in (2, 3, 4, 5):
             instances.append(fam(n))
     total = len(instances)
-    verified = conclusion_ok = weight_ok = coherent = 0
+    verified = conclusion_ok = weight_ok = 0
     open_counts: set[int] = set()
     for g in instances:
-        report = build_refutation(g)
-        t = translate_formula(report.proof.conclusion)
-        q = translate_proof(report.proof, t)
-        qm = check_tree(q)
-        c = compress_and_verify(q)
-        if c.incoherent == 0:
-            coherent += 1
-        if c.cleansed.conclusion is q.conclusion:
+        r = run_pipeline(g)
+        c, tree_weight = r.compression, r.metrics.weight
+        if c.cleansed.conclusion is r.proof.conclusion:
             conclusion_ok += 1
-        if c.weight <= qm.weight and (not c.dag.had_duplicates or c.weight < qm.weight):
+        if c.weight <= tree_weight and (not c.dag.had_duplicates or c.weight < tree_weight):
             weight_ok += 1
         if c.verified:
             verified += 1
@@ -260,10 +256,10 @@ def test_criterion_5_compression_soundness():
         f"ACCEPTANCE 5: {verdict} compression soundness on {total} instances"
         f" (exhaustive n<=3 plus empty/chain n=2..5): verifier accepted"
         f" {verified}/{total} cleansed dags, conclusion leg"
-        f" {conclusion_ok}/{total}, weight leg {weight_ok}/{total}, coherent"
-        f" collapse {coherent}/{total}; the (level,formula) merge lets"
-        f" branches share discharge obligations, so the collapse strands"
-        f" {sorted(open_counts)} case hypotheses open; surfaced, not masked"
+        f" {conclusion_ok}/{total}, weight leg {weight_ok}/{total}; the"
+        f" (level,formula) merge lets branches share discharge obligations,"
+        f" so the collapse strands {sorted(open_counts)} case hypotheses"
+        f" open; surfaced, not masked"
     )
     assert conclusion_ok == total
     assert weight_ok == total
@@ -409,12 +405,8 @@ def _pipeline_bytes() -> bytes:
     parts = []
     for n in (2, 3):
         for g in nonham_graphs(n):
-            report = build_refutation(g)
-            t = translate_formula(report.proof.conclusion)
-            q = translate_proof(report.proof, t)
-            parts.append(dumps_proof(report.proof))
-            parts.append(dumps_proof(q))
-            parts.append(compress_and_verify(q).text)
+            r = run_pipeline(g)
+            parts += [dumps_proof(r.report.proof), r.text, r.compression.text]
     parts.append(rows_to_csv(run_bench("empty", [2, 3, 4]), timing=False))
     parts.append(
         rows_to_csv(run_bench("random", [3, 4], seed=1234, count=3), timing=False)

@@ -16,7 +16,6 @@ from nonham.bench import (
     pipeline_row,
     rows_to_csv,
     run_bench,
-    verdict_summary,
 )
 from nonham.errors import CapExceededError, NonhamError
 from nonham.formulas import q_var
@@ -63,7 +62,6 @@ class TestRows:
         assert row.tree_weight > row.dag_weight > 0
         assert row.compression_ratio == pytest.approx(row.tree_weight / row.dag_weight)
         assert row.tree_height <= row.tree_weight
-        assert row.incoherent_s == 0
         assert not row.dag_verified
 
     def test_csv_header_is_pinned(self):
@@ -158,10 +156,4 @@ class TestRunBench:
         assert run_bench("empty", [2]) == []
         assert capsys.readouterr().err == (
             "bench: n=2 graph_id=0: tree proof does not replay from its serialization\n"
-        )
-
-    def test_verdict_summary_counts(self):
-        rows = run_bench("empty", [2, 3])
-        assert verdict_summary(rows) == (
-            "dag verdicts: 0/2 verified, 1/2 with a coherent collapse choice"
         )

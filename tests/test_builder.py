@@ -8,7 +8,7 @@ import pytest
 
 import nonham.bench
 import nonham.builder
-from nonham.bench import chain_graph, empty_graph, rows_to_csv, run_bench
+from nonham.bench import chain_graph, empty_graph, rows_to_csv, run_bench, run_pipeline
 from nonham.builder import (
     FAITHFUL_CAP,
     PRUNED_CAP,
@@ -279,11 +279,12 @@ class TestBuildRefutation:
                                                           incoherent):
         family, n, mode, cap = pinned
         g = (empty_graph if family == "empty" else chain_graph)(n)
-        _, q = refute_and_translate(g, mode=mode, cap=cap)
-        dag, origin = compress_horizontal(q)
-        cleansed = cleanse(dag, origin, source=q, strict=False)
+        r = run_pipeline(g, mode=mode, cap=cap)
+        dag, origin = compress_horizontal(r.proof)
+        cleansed = cleanse(dag, origin, source=r.proof, strict=False)
         assert hashlib.sha256(dumps_dag(dag).encode()).hexdigest() == dag_digest
         assert hashlib.sha256(dumps_dag(cleansed).encode()).hexdigest() == cleansed_digest
+        assert hashlib.sha256(r.compression.text.encode()).hexdigest() == cleansed_digest
         assert (len(origin), len(coherence_failures(dag, origin))) == (occurrences, incoherent)
 
     def test_pruned_pipeline_on_a_mid_size_graph(self):
@@ -326,20 +327,19 @@ class TestSharing:
 
     @pytest.mark.parametrize("g", SMALL_FAMILIES, ids=lambda g: f"n{g.n}-{g.graph_id}")
     def test_sharing_changes_no_size_or_artifact(self, g, monkeypatch):
-        report, q = refute_and_translate(g)
-        copy_p, copy_q = unshared(report.proof), unshared(q)
-        assert distinct_nodes(copy_p) > distinct_nodes(report.proof)
-        assert check_tree(copy_p) == report.metrics
-        assert check_tree(copy_q) == check_tree(q)
-        dag = dumps_dag(compress_and_verify(q).cleansed)
-        assert dumps_dag(compress_and_verify(copy_q).cleansed) == dag
+        r = run_pipeline(g)
+        copy_p, copy_q = unshared(r.report.proof), unshared(r.proof)
+        assert distinct_nodes(copy_p) > distinct_nodes(r.report.proof)
+        assert check_tree(copy_p) == r.report.metrics
+        assert check_tree(copy_q) == r.metrics
+        assert compress_and_verify(copy_q).text == r.compression.text
 
         monkeypatch.setattr(NodeTable, "share", lambda self, node: node)
-        plain, plain_q = refute_and_translate(g)
-        assert distinct_nodes(plain.proof) > distinct_nodes(report.proof)
-        assert plain.summary() == report.summary()
-        assert check_tree(plain_q) == check_tree(q)
-        assert dumps_dag(compress_and_verify(plain_q).cleansed) == dag
+        plain = run_pipeline(g)
+        assert distinct_nodes(plain.report.proof) > distinct_nodes(r.report.proof)
+        assert plain.report.summary() == r.report.summary()
+        assert plain.metrics == r.metrics
+        assert plain.compression.text == r.compression.text
 
     def test_bench_csv_matches_unshared_copies(self, monkeypatch):
         def run():
@@ -365,17 +365,11 @@ class TestNoReferenceCycles:
         # one run first, so module-level caches filled on first use are not
         # counted; then every object a run creates must be freed by its
         # reference count alone
-        q = refute_and_translate(g)[1]
-        compress_and_verify(q)
-        loads_proof(dumps_proof(q))
-        del q
+        run_pipeline(g)
         gc.collect()
         gc.disable()
         try:
-            report, q = refute_and_translate(g)
-            compress_and_verify(q)
-            reloaded = loads_proof(dumps_proof(q))
-            del report, q, reloaded
+            run_pipeline(g)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -162,7 +162,8 @@ class TestPipelineChain:
 
     def test_full_chain_on_the_smallest_graph(self, empty2, tmp_path, capsys):
         tree, implication, dag, payload = self.run_chain(empty2, tmp_path, capsys)
-        assert payload["incoherent_s"] == 0
+        assert payload.keys() == {"weight", "height", "node_count", "conclusion_weight",
+                                  "compression_ratio", "verdict"}
         assert payload["verdict"] == "open_assumptions[2]"
         assert payload["compression_ratio"] > 1.0
 
@@ -321,7 +322,7 @@ class TestBench:
         assert lines[0].startswith("n,graph_id,rho_weight")
         assert len(lines) == 4
         assert all(line.endswith(",0") for line in lines[1:])
-        assert "dag verdicts:" in captured.err
+        assert captured.err == ""
         assert "fitted exponent" in captured.out
 
     def test_json_payload(self, tmp_path, capsys):
@@ -332,7 +333,9 @@ class TestBench:
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"] == 3
+        assert payload.keys() == {"family", "rows", "dag_verified", "fit"}
+        assert payload["fit"].keys() == {"exponent", "ci_low", "ci_high", "points"}
+        assert (payload["family"], payload["rows"], payload["dag_verified"]) == ("chain", 3, 0)
         assert payload["fit"]["points"] == 3
         assert payload["fit"]["ci_low"] <= payload["fit"]["exponent"] <= payload["fit"]["ci_high"]
 

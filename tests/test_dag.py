@@ -7,8 +7,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonham.bench import chain_graph
-from nonham.builder import build_refutation
+from nonham.bench import chain_graph, run_pipeline
+from nonham.cli import loads_artifact
 from nonham import dagproof
 from nonham.dagproof import (
     DagNode,
@@ -32,7 +32,6 @@ from nonham.errors import (
 )
 from nonham.formulas import IMP, bot, conj, disj, imp, q_var, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian
-from nonham.implicational import translate_formula, translate_proof
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,
@@ -76,14 +75,6 @@ def doubling_proof(k):
     for _ in range(k):
         p = imp_elim(imp_intro(p, p.conclusion), p)
     return p
-
-
-def pipeline(g):
-    """Refute g, translate the refutation, and compress the translation."""
-    report = build_refutation(g)
-    t = translate_formula(report.proof.conclusion)
-    q = translate_proof(report.proof, t)
-    return q, check_tree(q), compress_and_verify(q)
 
 
 def sep_ids(d):
@@ -281,13 +272,14 @@ class TestCollectorPause:
         return runs
 
     def test_the_pass_runs_no_collection(self):
-        q, _, _ = pipeline(Graph(3, frozenset()))
+        q = run_pipeline(Graph(3, frozenset())).proof
         assert self.collections_during(compress_horizontal, q) == []
 
     def test_loads_runs_no_collection(self):
-        q, _, c = pipeline(Graph(3, frozenset()))
-        assert self.collections_during(loads_proof, dumps_proof(q)) == []
-        assert self.collections_during(loads_dag, c.text) == []
+        r = run_pipeline(Graph(3, frozenset()))
+        for loads, text in ((loads_proof, r.text), (loads_dag, r.compression.text)):
+            assert self.collections_during(loads, text) == []
+            assert self.collections_during(loads_artifact, text) == []
 
 
 class TestPipelineOutcomes:
@@ -295,25 +287,26 @@ class TestPipelineOutcomes:
         # the (level, formula) merge on the smallest refutation produces one
         # separation node whose collapse has a surviving source thread yet
         # strands two case hypotheses: the dag verifier is the arbiter
-        q, _, c = pipeline(Graph(2, frozenset()))
+        r = run_pipeline(Graph(2, frozenset()))
+        q, c = r.proof, r.compression
         assert c.dag.had_duplicates
         assert len(sep_ids(c.dag)) == 1
-        assert c.incoherent == 0
         assert c.open_set == frozenset({x_var(1, 1), x_var(2, 2)})
         assert c.verdict == "open_assumptions[2]"
         # a coherent collapse passes the strict cleanse to the same verdict
         d, om = compress_horizontal(q)
+        assert coherence_failures(d, om) == []
         with pytest.raises(OpenAssumptionsError) as err:
             verify_dag(cleanse(d, om, source=q))
         assert err.value.open_set == c.open_set
 
     def test_n3_collapse_has_no_coherent_choice(self):
-        q, _, c = pipeline(Graph(3, frozenset()))
-        assert c.incoherent > 0
+        r = run_pipeline(Graph(3, frozenset()))
+        q, c = r.proof, r.compression
         assert sep_ids(c.cleansed) == []
         assert not c.verified
         d, om = compress_horizontal(q)
-        assert len(coherence_failures(d, om)) == c.incoherent
+        assert coherence_failures(d, om)
         with pytest.raises(NoCoherentChoiceError):
             cleanse(d, om, source=q)
 
@@ -322,11 +315,12 @@ class TestPipelineOutcomes:
             for g in enumerate_graphs(n):
                 if is_hamiltonian(g) is not None:
                     continue
-                q, tm, c = pipeline(g)
+                r = run_pipeline(g)
+                c, tree_weight = r.compression, r.metrics.weight
                 assert c.weight == sum(node.formula.weight for node in c.cleansed.nodes)
-                assert c.weight <= tm.weight
-                assert c.dag.source_tree_weight == tm.weight
-                assert c.cleansed.conclusion is q.conclusion
+                assert c.weight <= tree_weight
+                assert c.dag.source_tree_weight == tree_weight
+                assert c.cleansed.conclusion is r.proof.conclusion
                 assert c.height == dag_height(c.cleansed) >= 1
 
     def test_compression_reports_the_reloaded_dag(self):
@@ -335,7 +329,7 @@ class TestPipelineOutcomes:
         d, om = compress_horizontal(p)
         assert c.text == dumps_dag(cleanse(d, om, source=p))
         assert dumps_dag(c.cleansed) == c.text
-        assert c.dag.had_duplicates and c.incoherent == 0
+        assert c.dag.had_duplicates
         m = verify_dag(c.cleansed)
         assert c.verified and c.verdict == "verified" and c.open_set == frozenset()
         assert (c.weight, c.height) == (m.weight, m.height)
@@ -348,7 +342,7 @@ class TestPipelineOutcomes:
 
 class TestVerifyRejections:
     def test_separation_nodes_are_rejected(self):
-        _, _, c = pipeline(Graph(2, frozenset()))
+        c = run_pipeline(Graph(2, frozenset())).compression
         with pytest.raises(IllFormedDagError) as err:
             verify_dag(c.dag)
         assert "separation" in str(err.value)
@@ -553,10 +547,9 @@ class TestDagJson:
         # bounded number of bytes. Formula text on every node, quadratic
         # along the axiom-fold spine, took 430 bytes a node in this proof
         # and 780 in its dag.
-        report = build_refutation(chain_graph(5), mode="pruned")
-        q = translate_proof(report.proof, translate_formula(report.proof.conclusion))
-        assert table_bytes_per_item(dumps_proof(q)) <= 100
-        assert table_bytes_per_item(compress_and_verify(q).text) <= 100
+        r = run_pipeline(chain_graph(5), mode="pruned")
+        assert table_bytes_per_item(r.text) <= 100
+        assert table_bytes_per_item(r.compression.text) <= 100
 
     def test_bad_json_text(self):
         with pytest.raises(ProofFormatError):
@@ -783,12 +776,12 @@ class TestSiteCompression:
         assert_matches_reference(p)
 
     def test_pipeline_proofs_match_the_per_occurrence_definition(self):
+        incoherent = []
         for g in (Graph(2, frozenset()), Graph(3, frozenset()), chain_graph(3)):
-            q, _, _ = pipeline(g)
-            d, om = assert_matches_reference(q)
+            d, om = assert_matches_reference(run_pipeline(g).proof)
             assert len(om.mult) < len(om)
-        _, _, c = pipeline(Graph(3, frozenset()))
-        assert c.incoherent > 0
+            incoherent.append(len(coherence_failures(d, om)))
+        assert incoherent[1] > 0  # empty n=3
 
     def test_sites_grow_with_distinct_nodes_not_occurrences(self):
         for k in (1, 2, 5):
