@@ -1,5 +1,6 @@
 """Tests for the pipeline benchmark: families, rows, CSV, growth fit."""
 
+import dataclasses
 import math
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from nonham import bench
 from nonham.bench import (
     CSV_FIELDS,
+    BenchRow,
     chain_graph,
     empty_graph,
     family_graphs,
@@ -16,11 +18,13 @@ from nonham.bench import (
     pipeline_row,
     rows_to_csv,
     run_bench,
+    run_pipeline,
 )
+from nonham.dagproof import Compression, compress_and_verify
 from nonham.errors import CapExceededError, NonhamError
-from nonham.formulas import q_var
+from nonham.formulas import is_implicational, q_var
 from nonham.graphs import is_hamiltonian
-from nonham.prooftree import hyp, imp_intro
+from nonham.prooftree import check_tree, dumps_proof, hyp, imp_intro
 
 PINNED_HEADER = (
     "n,graph_id,rho_weight,tree_height,tree_weight,tree_distinct_weight,"
@@ -63,6 +67,21 @@ class TestRows:
         assert row.compression_ratio == pytest.approx(row.tree_weight / row.dag_weight)
         assert row.tree_height <= row.tree_weight
         assert not row.dag_verified
+
+    def test_run_pipeline_artifacts_agree_with_the_row(self):
+        g = chain_graph(3)
+        r = run_pipeline(g)
+        assert is_implicational(r.proof.conclusion)
+        assert r.metrics == check_tree(r.proof) and not r.metrics.open_assumptions
+        assert r.text == dumps_proof(r.proof)
+        assert r.compression.text == compress_and_verify(r.proof).text
+        row = pipeline_row(g)
+        assert (row.tree_weight, row.tree_height) == (r.metrics.weight, r.metrics.height)
+        assert (row.dag_weight, row.dag_height) == (r.compression.weight, r.compression.height)
+        assert row.dag_verified == r.compression.verified
+        # the verdict is the only dag outcome a result carries
+        names = {f.name for cls in (Compression, BenchRow) for f in dataclasses.fields(cls)}
+        assert names.isdisjoint({"incoherent", "incoherent_s"})
 
     def test_csv_header_is_pinned(self):
         assert ",".join(CSV_FIELDS) == PINNED_HEADER
