@@ -28,6 +28,7 @@ promote them only to find nothing. Compression pauses it the same way.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 
@@ -41,17 +42,20 @@ KINDS = ("tree", "dag")
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def collector_paused(fn, *args):
-    """Call `fn(*args)` with the cyclic collector paused, and leave the
-    collector as it was found, also when `fn` raises. For passes that make
-    no reference cycles, which reference counting alone frees."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if enabled:
-            gc.enable()
+def collector_paused(fn):
+    """Decorate `fn` to run with the cyclic collector paused and to leave
+    the collector as it was found, also when `fn` raises. For passes that
+    make no reference cycles, which reference counting alone frees."""
+    @functools.wraps(fn)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def loads_document(text: str) -> dict:

@@ -179,13 +179,10 @@ def cmd_compress(args) -> int:
     return EXIT_OK
 
 
+@collector_paused
 def loads_artifact(text: str) -> ProofTree | DagProof:
     """Read a tree or dag document, told apart by its "kind", with the
     cyclic collector paused, as `loads_proof` and `loads_dag` do."""
-    return collector_paused(_loads_artifact, text)
-
-
-def _loads_artifact(text: str) -> ProofTree | DagProof:
     data = loads_document(text)
     return (proof_from_json if data["kind"] == "tree" else dag_from_json)(data)
 

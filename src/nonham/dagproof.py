@@ -124,15 +124,12 @@ class OriginMap:
         return sum(self.mult)
 
 
+@collector_paused
 def compress_horizontal(p: ProofTree) -> tuple[DagProof, OriginMap]:
     """Merge same-level same-formula occurrences of an implicational tree in
     one level pass over its sites (see the module docstring). The cyclic
     collector is paused for the pass, which makes no reference cycles, and
     left as it was found."""
-    return collector_paused(_compress, p)
-
-
-def _compress(p: ProofTree) -> tuple[DagProof, OriginMap]:
     sites = [p]  # proof object of each site
     mult = [1]
     children_of: list[list[int]] = []
@@ -525,12 +522,9 @@ def dag_from_json(data) -> DagProof:
                     had_duplicates=had_duplicates)
 
 
+@collector_paused
 def loads_dag(text: str) -> DagProof:
     """Read a dag document with the cyclic collector paused."""
-    return collector_paused(_loads_dag, text)
-
-
-def _loads_dag(text: str) -> DagProof:
     return dag_from_json(loads_document(text))
 
 

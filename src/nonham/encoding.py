@@ -19,7 +19,7 @@ a left fold over the present parts in the order above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,7 @@ from .formulas import (
     x_var,
 )
 from .graphs import Graph, ordered_pairs
-from .kernels import (
-    Program,
-    build_program,
-    compile_program,
-    eval_batch_numpy,
-    eval_words,
-    pack_columns,
-    unpack_rows,
-)
+from .kernels import Program, compile_program, eval_words, pack_columns, unpack_rows
 
 PART_TAGS = ("coverage", "repeat_ban", "step_occupied", "step_unique", "edge_ban")
 
@@ -169,13 +161,10 @@ def check_encode_cap(n: int) -> None:
 
 def _holds(prog: Program, seqs: np.ndarray) -> np.ndarray:
     """Truth of prog on each column of a step-major (n, rows) vertex block."""
-    assigns = np.empty((len(prog.var_slots), seqs.shape[1]), dtype=bool)
+    bits = np.empty((len(prog.var_slots), seqs.shape[1]), dtype=bool)
     for slot, name in enumerate(prog.var_slots):
-        np.equal(seqs[name.step - 1], name.vertex, out=assigns[slot])
-    return eval_batch_numpy(prog, assigns.T)
-
-
-_low_cache: dict[tuple[int, int], np.ndarray] = {}
+        np.equal(seqs[name.step - 1], name.vertex, out=bits[slot])
+    return unpack_rows(eval_words(prog, pack_columns(bits)), seqs.shape[1])
 
 
 def _block_steps(n: int) -> int:
@@ -192,16 +181,13 @@ def _low_columns(n: int, k: int) -> np.ndarray:
     A block's offset o spells steps n-k+1..n in base n, most significant
     first, so these columns are the same for every block and every graph.
     """
-    cached = _low_cache.get((n, k))
-    if cached is None:
-        cached = np.empty((k * n, -(-(n**k) // 64)), dtype=np.uint64)
-        for j in range(k):
-            digit = np.repeat(np.arange(n), n ** (k - 1 - j))
-            for v in range(n):
-                # one column at a time: the bool rows of all k*n would take 64x the words
-                cached[j * n + v] = pack_columns(np.tile(digit == v, n**j)[None])[0]
-        _low_cache[(n, k)] = cached
-    return cached
+    low = np.empty((k * n, -(-(n**k) // 64)), dtype=np.uint64)
+    for j in range(k):
+        digit = np.repeat(np.arange(n), n ** (k - 1 - j))
+        for v in range(n):
+            # one column at a time: the bool rows of all k*n would take 64x the words
+            low[j * n + v] = pack_columns(np.tile(digit == v, n**j)[None])[0]
+    return low
 
 
 def _prefix(n: int, k: int, block: int) -> list[int]:
@@ -211,13 +197,13 @@ def _prefix(n: int, k: int, block: int) -> list[int]:
     return [block // n ** (lead - step) % n + 1 for step in range(1, lead + 1)]
 
 
-def _block_columns(prog: Program, n: int, k: int, block: int) -> np.ndarray:
-    """prog's packed columns over rows block*n^k .. (block+1)*n^k - 1.
+def _block_columns(prog: Program, low: np.ndarray, n: int, k: int, block: int) -> np.ndarray:
+    """prog's packed columns over rows block*n^k .. (block+1)*n^k - 1, given
+    `low`, the `_low_columns(n, k)`.
 
     Steps 1..n-k do not change inside the block, so their columns are
     constant words: all ones up to the block's last row, or zeros.
     """
-    low = _low_columns(n, k)
     rows = n**k
     ones = np.full(low.shape[1], np.uint64(0xFFFF_FFFF_FFFF_FFFF))
     if rows % 64:
@@ -241,75 +227,53 @@ def _block_rows(n: int, k: int, block: int, offsets: np.ndarray) -> np.ndarray:
     return seqs
 
 
-@dataclass
-class _Scan:
-    """The scan of one n so far: the functional rows that satisfy every part
-    depending on n alone, and the block to resume from.
-
-    `chunks` are the scan's flushes in base-n order, each a step-major
-    (n, rows) uint8 block of vertex sequences already narrowed through
-    those parts; every chunk holds at least one row.
-    """
-
-    first: Program
-    rest: list[Program]
-    k: int
-    chunks: list[np.ndarray] = field(default_factory=list)
-    block: int = 0
-
-
-# n -> its scan, filled lazily by `_scan_on` and kept for the life of the process
-_scans: dict[int, _Scan] = {}
-
-
-def _check_xvars(prog: Program) -> None:
+def _compile_xvars(part: Formula) -> Program:
+    prog = compile_program(part)
     for name in prog.var_slots:
         if not isinstance(name, XVar):
             raise AssertionError(f"unexpected variable in encoding: {name}")
+    return prog
 
 
-def _scan_of(n: int) -> _Scan:
-    scan = _scans.get(n)
-    if scan is None:
-        # the complete digraph's encoding is exactly the parts that depend on n alone
-        parts = encode_graph(Graph(n, frozenset(ordered_pairs(n)))).parts
-        progs = [compile_program(parts[tag]) for tag in PART_TAGS if parts[tag] is not None]
-        for prog in progs:
-            _check_xvars(prog)
-        scan = _scans[n] = _Scan(progs[0], progs[1:], _block_steps(n))
-    return scan
+# n -> its scan's chunks, stored by `_chunks_of` once the scan is complete
+# and kept for the life of the process
+_chunks: dict[int, list[np.ndarray]] = {}
 
 
-def _scan_on(n: int, scan: _Scan) -> bool:
-    """Scan on from `scan.block` to the next flush that keeps a row and cache
-    that chunk; False once the n^n rows are all scanned.
+def _chunks_of(n: int) -> list[np.ndarray]:
+    """The functional rows that satisfy every part depending on n alone, as
+    step-major (n, rows) uint8 vertex sequences in base-n order, split into
+    nonempty chunks; scanned on the first call for n.
 
     The first part is evaluated on each block and its hits are buffered;
     the buffer is narrowed through the other parts when it holds `_CHUNK`
-    rows or the scan ends. `scan` moves only at a flush, so a scan cut
-    short resumes from its last one.
+    rows or the scan ends, and what survives is a chunk.
     """
-    n_k = n**scan.k
-    blocks = n ** (n - scan.k)
-    held: list[np.ndarray] = []
-    count = 0
-    for block in range(scan.block, blocks):
-        root = eval_words(scan.first, _block_columns(scan.first, n, scan.k, block))
-        offsets = np.flatnonzero(unpack_rows(root, n_k))
+    chunks = _chunks.get(n)
+    if chunks is not None:
+        return chunks
+    # the complete digraph's encoding is exactly the parts that depend on n alone
+    parts = encode_graph(Graph(n, frozenset(ordered_pairs(n)))).parts
+    first, *rest = [_compile_xvars(parts[tag]) for tag in PART_TAGS if parts[tag] is not None]
+    k = _block_steps(n)
+    low = _low_columns(n, k)
+    blocks = n ** (n - k)
+    chunks, held, count = [], [], 0
+    for block in range(blocks):
+        root = eval_words(first, _block_columns(first, low, n, k, block))
+        offsets = np.flatnonzero(unpack_rows(root, n**k))
         if offsets.shape[0]:
-            held.append(_block_rows(n, scan.k, block, offsets))
+            held.append(_block_rows(n, k, block, offsets))
             count += offsets.shape[0]
         if count and (count >= _CHUNK or block == blocks - 1):
             rows = np.concatenate(held, axis=1)
-            for prog in scan.rest:
+            for prog in rest:
                 rows = rows[:, _holds(prog, rows)]
-            scan.block = block + 1
             if rows.shape[1]:
-                scan.chunks.append(rows)
-                return True
+                chunks.append(rows)
             held, count = [], 0
-    scan.block = blocks
-    return False
+    _chunks[n] = chunks
+    return chunks
 
 
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
@@ -322,35 +286,26 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     satisfies every part.
 
     Four parts depend on n alone, so the rows that satisfy them are the
-    same for every graph of that n: they are found once per n and kept for
-    the life of the process (`_Scan`). The n^n rows are scanned in base-n
-    order, in blocks of n^k consecutive rows (k set by `_BLOCK`). Inside a
-    block steps 1..n-k are fixed, so their columns are constant words; the
-    columns of the low k steps are the same for every block and are packed
-    once per (n, k). The first part (coverage, true only on the n!
-    permutations) is evaluated on each block 64 rows per word; its hits are
-    decoded into vertex sequences, buffered, and narrowed through the other
-    n-only parts (compiled once per process) into a cached chunk whenever
-    the buffer holds `_CHUNK` rows or the scan ends.
+    same for every graph of that n: the first graph of each n scans for
+    them (`_chunks_of`) and they are kept for the life of the process. The
+    n^n rows are scanned once, in base-n order, in blocks of n^k
+    consecutive rows (k set by `_BLOCK`). Inside a block steps 1..n-k are
+    fixed, so their columns are constant words; the columns of the low k
+    steps are the same for every block and are packed once per scan. The
+    first part (coverage, true only on the n! permutations) is evaluated
+    on each block 64 rows per word; its hits are decoded into vertex
+    sequences, buffered, and narrowed through the other n-only parts
+    whenever the buffer holds `_CHUNK` rows or the scan ends. A scan cut
+    short keeps nothing.
 
     This call builds only g's edge_ban part, compiles it without keeping
-    it, and evaluates it over the cached chunks in scan order, scanning on
-    for more only when they run out; it returns True at the first chunk
-    with a surviving row. With no missing edge there is no edge_ban, and
-    any cached row is a witness. A chunk fills mid-scan only when
-    n! > `_CHUNK` (n >= 8), so at n <= 7 the first graph of each n pays
-    for the whole scan and every later one reads one cached chunk.
+    it, and evaluates it over the kept chunks. With no missing edge there
+    is no edge_ban, and any kept row is a witness.
     """
     check_sat_cap(g.n, cap)
+    chunks = _chunks_of(g.n)
     part = conjunction(list(edge_bans(g).values()))
-    prog = None if part is None else build_program(part)
-    if prog is not None:
-        _check_xvars(prog)
-    scan = _scan_of(g.n)
-    pos = 0
-    while pos < len(scan.chunks) or _scan_on(g.n, scan):
-        rows = scan.chunks[pos]
-        if prog is None or _holds(prog, rows).any():
-            return True
-        pos += 1
-    return False
+    if part is None:
+        return bool(chunks)
+    prog = _compile_xvars(part)
+    return any(_holds(prog, rows).any() for rows in chunks)

@@ -1,16 +1,15 @@
 """Word-parallel truth-evaluation kernel.
 
-A formula is compiled, in the postorder `subformulas` yields, into flat
-arrays (kind, arg0, arg1) plus a variable-slot table: `build_program`
-compiles and keeps nothing, `compile_program` caches the result for the
-life of the process. `eval_words` evaluates it bit-sliced: each
-variable's column over a batch of assignments is packed 64 assignments per
-uint64 word, so every node of the program is one word-wise operation
-(falsum is 0, AND is ``&``, OR is ``|``, implication is ``~x | y``) that
-decides 64 rows, in one pass over the nodes. `pack_columns` and
-`unpack_rows` convert between bool rows and words; `eval_batch_numpy` is
-the bool-matrix adapter over the same kernel. The kernel is
-differentially tested against the scalar evaluator.
+`compile_program` compiles a formula, in the postorder `subformulas`
+yields, into flat arrays (kind, arg0, arg1) plus a variable-slot table,
+and keeps nothing. `eval_words` evaluates it bit-sliced: each variable's
+column over a batch of assignments is packed 64 assignments per uint64
+word (`pack_columns`), so every node of the program is one word-wise
+operation (falsum is 0, AND is ``&``, OR is ``|``, implication is
+``~x | y``) that decides 64 rows, in one pass over the nodes;
+`unpack_rows` reads the root's words back as bool rows. Every evaluation
+goes through these three. The kernel is differentially tested against the
+scalar evaluator.
 """
 
 from __future__ import annotations
@@ -40,19 +39,7 @@ class Program:
         return int(self.kinds.shape[0])
 
 
-_program_cache: dict[Formula, Program] = {}
-
-
 def compile_program(f: Formula) -> Program:
-    """`build_program`, cached for the life of the process: for formulas
-    compiled again and again, never for one used once."""
-    prog = _program_cache.get(f)
-    if prog is None:
-        prog = _program_cache[f] = build_program(f)
-    return prog
-
-
-def build_program(f: Formula) -> Program:
     """Compile a formula into flat evaluation arrays; nothing is kept."""
     index: dict[Formula, int] = {}
     kinds: list[int] = []
@@ -122,10 +109,3 @@ def eval_words(prog: Program, cols: np.ndarray) -> np.ndarray:
             vals.append(~vals[x] | vals[y])
     return np.array(vals[-1])
 
-
-def eval_batch_numpy(prog: Program, assigns: np.ndarray) -> np.ndarray:
-    """Evaluate over a (batch, nvars) bool matrix; returns a (batch,) bool vector."""
-    a = np.asarray(assigns, dtype=bool)
-    if a.ndim != 2 or a.shape[1] != len(prog.var_slots):
-        raise ValueError(f"assignment matrix must be (batch, {len(prog.var_slots)})")
-    return unpack_rows(eval_words(prog, pack_columns(a.T)), a.shape[0])

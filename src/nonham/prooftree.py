@@ -423,10 +423,7 @@ def proof_from_json(data) -> ProofTree:
     return built[-1]
 
 
+@collector_paused
 def loads_proof(text: str) -> ProofTree:
     """Read a tree document with the cyclic collector paused."""
-    return collector_paused(_loads_proof, text)
-
-
-def _loads_proof(text: str) -> ProofTree:
     return proof_from_json(loads_document(text))

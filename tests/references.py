@@ -6,7 +6,9 @@ truth value under one assignment, a graph rebuilt from its id and written
 as text, the Hamiltonian path search as a scan over every permutation, the
 translated goal's axiom fold built formula by formula, a tree proof
 embedded as a dag with one node per occurrence, and documents and formula
-tables as the parsed JSON values the writers' text stands for.
+tables as the parsed JSON values the writers' text stands for. One helper
+is no reference: `eval_rows` runs a compiled program over bool rows
+through the package's own word kernel.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from nonham.errors import NonhamError, UnsupportedRuleError
 from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas, table_id
 from nonham.graphs import Graph, ordered_pairs
 from nonham.implicational import Translation
+from nonham.kernels import Program, eval_words, pack_columns, unpack_rows
 from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree, dumps_proof
 
 
@@ -43,6 +46,11 @@ def bit_block(nvars: int, lo: int, hi: int) -> np.ndarray:
     for pos in range(nvars):
         out[:, pos] = (idx >> (nvars - 1 - pos)) & 1
     return out
+
+
+def eval_rows(prog: Program, rows: np.ndarray) -> np.ndarray:
+    """prog's truth on each row of a (rows, nvars) bool matrix, through the word kernel."""
+    return unpack_rows(eval_words(prog, pack_columns(rows.T)), rows.shape[0])
 
 
 def graph_from_id(n: int, graph_id: int) -> Graph:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonham import encoding, kernels
+from nonham import encoding
 from nonham.encoding import (
     PART_TAGS,
     SAT_CAP,
@@ -25,8 +25,8 @@ from nonham.encoding import (
 from nonham.errors import CapExceededError
 from nonham.formulas import AND, XVar, bot, conj, disj, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
-from nonham.kernels import compile_program, eval_batch_numpy, pack_columns
-from references import bit_block, eval_formula, graph_from_id, step_vertex_block
+from nonham.kernels import compile_program, pack_columns
+from references import bit_block, eval_formula, eval_rows, graph_from_id, step_vertex_block
 
 
 def descend(f, path):
@@ -36,13 +36,18 @@ def descend(f, path):
     return f
 
 
-def whole_formula_verdict(g: Graph, seqs: np.ndarray) -> bool:
-    """Whether the whole encoding of g holds on any of the (rows, n) vertex sequences."""
-    prog = compile_program(encode_graph(g).formula)
+def holds_on(f, seqs: np.ndarray) -> np.ndarray:
+    """Truth of f on each of the (rows, n) vertex sequences."""
+    prog = compile_program(f)
     rows = np.empty((seqs.shape[0], len(prog.var_slots)), dtype=bool)
     for slot, name in enumerate(prog.var_slots):
         rows[:, slot] = seqs[:, name.step - 1] == name.vertex
-    return bool(eval_batch_numpy(prog, rows).any())
+    return eval_rows(prog, rows)
+
+
+def whole_formula_verdict(g: Graph, seqs: np.ndarray) -> bool:
+    """Whether the whole encoding of g holds on any of the (rows, n) vertex sequences."""
+    return bool(holds_on(encode_graph(g).formula, seqs).any())
 
 
 def expected_counts(g: Graph) -> dict[str, int]:
@@ -173,7 +178,7 @@ class TestSatisfiability:
                 prog = compile_program(enc.formula)
                 nvars = len(prog.var_slots)
                 rows = bit_block(nvars, 0, 2**nvars)
-                full = bool(eval_batch_numpy(prog, rows).any())
+                full = bool(eval_rows(prog, rows).any())
                 assert satisfiable(g) == full
 
     def test_cap_guard(self):
@@ -202,7 +207,7 @@ class TestSatisfiability:
         # of n=5, so only the flush at the end runs. Blocks of 25, 125 and
         # 216 rows fix 3, 2 and 3 leading steps, and none is a whole number
         # of 64-row words; the default budget scans n=5 as one block.
-        monkeypatch.setattr(encoding, "_scans", {})
+        monkeypatch.setattr(encoding, "_chunks", {})
         monkeypatch.setattr(encoding, "_CHUNK", chunk)
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
@@ -215,26 +220,48 @@ class TestSatisfiability:
             verdicts.add(want)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("seed, hamiltonian", [(0, True), (2, False)])
-    def test_scan_stops_at_the_first_narrowing_with_a_witness_n8(
-            self, monkeypatch, seed, hamiltonian):
-        # n=8 has 8! = 40,320 permutation rows, more than one buffer of
-        # _CHUNK, so the buffer is narrowed mid-scan; at n <= 7 the n! rows
-        # fit one buffer and the only narrowing is at the end of the scan.
-        # Blocks are counted, not resized: 8^3 blocks of 8^5 rows.
-        monkeypatch.setattr(encoding, "_scans", {})
-        blocks = []
+    @pytest.mark.parametrize("n, chunk, block", [
+        (3, 2, 3), (4, 5, 16), (4, 1000, 64), (5, 7, 25), (6, 101, 216)])
+    def test_scan_keeps_exactly_the_rows_of_the_n_only_parts(
+            self, monkeypatch, n, chunk, block):
+        # whatever the budgets, the kept chunks concatenate to the rows of
+        # the base-n table on which coverage, repeat_ban, step_occupied and
+        # step_unique all hold, in table order
+        monkeypatch.setattr(encoding, "_chunks", {})
+        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+        monkeypatch.setattr(encoding, "_BLOCK", block)
+        seqs = step_vertex_block(n, 0, n**n)
+        parts = encode_graph(Graph(n, frozenset())).parts
+        keep = np.ones(n**n, dtype=bool)
+        for tag in PART_TAGS[:4]:
+            keep &= holds_on(parts[tag], seqs)
+        chunks = encoding._chunks_of(n)
+        assert all(rows.shape[1] for rows in chunks)
+        assert np.array_equal(np.concatenate(chunks, axis=1), seqs[keep].T)
+
+    def test_an_interrupted_scan_caches_nothing(self, monkeypatch):
+        # a scan that raises part-way keeps no rows; the next call scans
+        # n=5 again from its first block, and the one after reads the cache
+        monkeypatch.setattr(encoding, "_chunks", {})
+        monkeypatch.setattr(encoding, "_BLOCK", 25)
+        calls = []
         block_columns = encoding._block_columns
-        monkeypatch.setattr(encoding, "_block_columns",
-                            lambda *args: blocks.append(args) or block_columns(*args))
-        g = random_graph(Random(seed), 8, edge_prob=0.3)
-        assert (is_hamiltonian(g) is not None) == hamiltonian
-        assert satisfiable(g, cap=8) == hamiltonian
-        assert encoding._block_steps(8) == 5
-        if hamiltonian:
-            assert len(blocks) < 8**3
-        else:
-            assert len(blocks) == 8**3
+
+        def interrupt_third(*args):
+            calls.append(args[-1])
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return block_columns(*args)
+
+        monkeypatch.setattr(encoding, "_block_columns", interrupt_third)
+        ham, nonham = (random_graph(Random(seed), 5, edge_prob=0.3) for seed in (1, 0))
+        assert is_hamiltonian(ham) is not None and is_hamiltonian(nonham) is None
+        with pytest.raises(RuntimeError, match="interrupted"):
+            satisfiable(ham)
+        assert 5 not in encoding._chunks
+        assert satisfiable(ham) and not satisfiable(nonham)
+        assert calls == [0, 1, 2, *range(5**3)]
+        assert list(encoding._chunks) == [5]
 
     @pytest.mark.parametrize("n, budget", [
         (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])
@@ -246,37 +273,37 @@ class TestSatisfiability:
         assert n**k <= budget and (k == n or n ** (k + 1) > budget)
         prog = compile_program(encode_graph(Graph(n, frozenset())).parts["coverage"])
         assert len(prog.var_slots) == n * n
+        low = encoding._low_columns(n, k)
         size = n**k
         for block in range(n ** (n - k)):
             rows = step_vertex_block(n, block * size, (block + 1) * size)
             bits = np.array([rows[:, name.step - 1] == name.vertex for name in prog.var_slots])
-            assert np.array_equal(encoding._block_columns(prog, n, k, block), pack_columns(bits))
+            assert np.array_equal(encoding._block_columns(prog, low, n, k, block), pack_columns(bits))
             offsets = np.arange(size)
             assert np.array_equal(encoding._block_rows(n, k, block, offsets), rows.T)
 
     def test_scans_cache_no_program_per_graph(self, monkeypatch):
-        # only the parts that depend on n alone are cached, with the rows
-        # that satisfy them; each graph's edge_ban program goes with its scan
-        monkeypatch.setattr(encoding, "_scans", {})
+        # only the rows that satisfy the n-only parts are kept, once per n;
+        # each graph's edge_ban program goes with its call
+        monkeypatch.setattr(encoding, "_chunks", {})
         satisfiable(Graph(5, frozenset()))
-        cached = len(kernels._program_cache)
+        kept = list(encoding._chunks[5])
         verdicts = set()
         for seed in range(20):
             g = random_graph(Random(seed), 5, edge_prob=0.4)
             want = is_hamiltonian(g) is not None
             assert satisfiable(g) == want
             verdicts.add(want)
-        assert len(kernels._program_cache) == cached
-        assert len(encoding._scans) == 1
+        assert list(encoding._chunks) == [5]
+        assert len(encoding._chunks[5]) == len(kept)
+        assert all(a is b for a, b in zip(encoding._chunks[5], kept))
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n, chunk, block, seeds", [
         (5, 7, 25, range(8)), (5, 1000, 125, range(8)), (6, 101, 216, range(4))])
     def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, chunk, block, seeds):
         # each graph alone on an empty cache, then all of them twice in one
-        # cache: a Hamiltonian graph leaves the scan part-way, the next graph
-        # reads the chunks it cached and resumes the scan, and the second
-        # round reads a finished scan
+        # cache: the first graph scans, every later one reads its chunks
         monkeypatch.setattr(encoding, "_CHUNK", chunk)
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
@@ -285,32 +312,15 @@ class TestSatisfiability:
         assert wants == [is_hamiltonian(g) is not None for g in graphs]
         assert set(wants) == {True, False}
         for g, want in zip(graphs, wants):
-            monkeypatch.setattr(encoding, "_scans", {})
+            monkeypatch.setattr(encoding, "_chunks", {})
             assert satisfiable(g) == want
-        monkeypatch.setattr(encoding, "_scans", {})
+        monkeypatch.setattr(encoding, "_chunks", {})
         for g, want in zip(graphs + graphs, wants + wants):
             assert satisfiable(g) == want
-        assert encoding._scans[n].block == n ** (n - encoding._block_steps(n))
-
-    def test_scan_resumes_where_it_stopped_n8(self, monkeypatch):
-        # a Hamiltonian graph stops part-way, a non-Hamiltonian one reads
-        # its chunks and scans the rest: 8^3 blocks in all, then none
-        monkeypatch.setattr(encoding, "_scans", {})
-        blocks = []
-        block_columns = encoding._block_columns
-        monkeypatch.setattr(encoding, "_block_columns",
-                            lambda *args: blocks.append(args) or block_columns(*args))
-        ham, nonham = (random_graph(Random(seed), 8, edge_prob=0.3) for seed in (0, 2))
-        assert satisfiable(ham, cap=8)
-        assert 0 < len(blocks) < 8**3
-        assert not satisfiable(nonham, cap=8)
-        assert len(blocks) == 8**3
-        assert satisfiable(ham, cap=8) and not satisfiable(nonham, cap=8)
-        assert len(blocks) == 8**3
 
     def test_import_does_no_scan(self):
         # the scan fills on the first oracle call, never at import
-        code = "import nonham.cli, nonham.encoding as e; assert e._scans == {}, e._scans"
+        code = "import nonham.cli, nonham.encoding as e; assert e._chunks == {}, e._chunks"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(encoding.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -29,8 +29,8 @@ from nonham.implicational import (
     translation_to_json,
     used_axioms,
 )
-from nonham.kernels import compile_program, eval_batch_numpy
-from references import bit_block, eval_formula, rho_star
+from nonham.kernels import compile_program
+from references import bit_block, eval_formula, eval_rows, rho_star
 from nonham.prooftree import (
     ProofTree,
     and_elim_l,
@@ -254,7 +254,7 @@ class TestRefutationTranslation:
             nvars = len(prog.var_slots)
             assert nvars == 16
             rows = bit_block(nvars, 0, 2**nvars)
-            assert bool(eval_batch_numpy(prog, rows).all())
+            assert bool(eval_rows(prog, rows).all())
 
     def test_n3_spot_tautology_on_sampled_valuations(self):
         # 49 variables rule out exhaustion; fix each of the 512 X parts and
@@ -278,7 +278,7 @@ class TestRefutationTranslation:
             chunk[:, x_cols] = xs[r]
             chunk[:, q_cols] = rng.random((per_x, len(q_cols))) < 0.5
             block[r * per_x : (r + 1) * per_x] = chunk
-        assert bool(eval_batch_numpy(prog, block).all())
+        assert bool(eval_rows(prog, block).all())
 
     def test_translated_refutations_check_out_n2(self):
         for g in enumerate_graphs(2):

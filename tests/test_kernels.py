@@ -13,15 +13,7 @@ from nonham.formulas import (
     subformulas,
     x_var,
 )
-from nonham import kernels
-from nonham.kernels import (
-    build_program,
-    compile_program,
-    eval_batch_numpy,
-    eval_words,
-    pack_columns,
-    unpack_rows,
-)
+from nonham.kernels import compile_program, eval_words, pack_columns, unpack_rows
 from references import bit_block, eval_formula, step_vertex_block
 
 ATOMS = [q_var(name) for name in "abcdef"]
@@ -54,19 +46,12 @@ class TestCompile:
         prog = compile_program(f)
         assert int(prog.kinds[-1]) == f.kind
 
-    def test_programs_are_cached(self):
-        f = disj(x_var(1, 1), x_var(2, 2))
-        assert compile_program(f) is compile_program(f)
-
-    def test_build_program_compiles_the_same_and_keeps_nothing(self):
+    def test_compiles_keep_nothing(self):
         f = disj(x_var(3, 1), imp(x_var(1, 3), conj(x_var(3, 1), bot())))
-        cached = len(kernels._program_cache)
-        prog = build_program(f)
-        assert len(kernels._program_cache) == cached
-        want = compile_program(f)
-        assert prog is not want and prog.var_slots == want.var_slots
+        prog, again = compile_program(f), compile_program(f)
+        assert prog is not again and prog.var_slots == again.var_slots
         for name in ("kinds", "arg0", "arg1"):
-            assert np.array_equal(getattr(prog, name), getattr(want, name))
+            assert np.array_equal(getattr(prog, name), getattr(again, name))
 
     def test_var_slots_are_distinct_names(self):
         f = conj(conj(q_var("a"), q_var("b")), conj(q_var("a"), q_var("c")))
@@ -79,41 +64,15 @@ class TestCompile:
         assert prog.node_count == len(set(subformulas(f)))
 
 
-class TestNumpyEval:
-    @given(small_formulas())
-    @settings(max_examples=60)
-    def test_agrees_with_scalar_evaluator(self, f):
-        prog = compile_program(f)
-        rows = full_table(prog)
-        got = eval_batch_numpy(prog, rows)
-        for row, value in zip(rows, got):
-            env = dict(zip(prog.var_slots, (bool(b) for b in row)))
-            assert eval_formula(f, env) == bool(value)
-        # the SAT scan passes the transpose of a step-major matrix
-        assert np.array_equal(eval_batch_numpy(prog, np.ascontiguousarray(rows.T).T), got)
-
-    def test_constant_programs(self):
-        false_prog = compile_program(bot())
-        true_prog = compile_program(imp(bot(), bot()))
-        batch = np.zeros((3, 0), dtype=bool)
-        assert not eval_batch_numpy(false_prog, batch).any()
-        assert eval_batch_numpy(true_prog, batch).all()
-
-    def test_rejects_wrong_shapes(self):
-        prog = compile_program(conj(q_var("a"), q_var("b")))
-        with pytest.raises(ValueError):
-            eval_batch_numpy(prog, np.zeros(4, dtype=bool))
-        with pytest.raises(ValueError):
-            eval_batch_numpy(prog, np.zeros((4, 3), dtype=bool))
-
-    def test_accepts_int_matrix(self):
-        prog = compile_program(imp(q_var("a"), q_var("b")))
-        rows = np.array([[1, 0], [0, 0]])
-        got = eval_batch_numpy(prog, rows)
-        assert got.tolist() == [False, True]
-
-
 class TestWordEval:
+    @pytest.mark.parametrize("rows", [0, 3, 70])
+    def test_constant_programs(self, rows):
+        # no variables, so the word count comes from the columns' shape alone
+        cols = pack_columns(np.zeros((0, rows), dtype=bool))
+        assert cols.shape == (0, -(-rows // 64))
+        assert not unpack_rows(eval_words(compile_program(bot()), cols), rows).any()
+        assert unpack_rows(eval_words(compile_program(imp(bot(), bot())), cols), rows).all()
+
     @given(small_formulas(), st.data())
     @settings(max_examples=60)
     def test_agrees_with_scalar_evaluator(self, f, data):
@@ -150,7 +109,7 @@ class TestWordEval:
         assert (words == np.uint64(2**64 - 1)).all()
         got = unpack_rows(words, rows)
         assert got.shape == (rows,) and got.all()
-        assert np.flatnonzero(eval_batch_numpy(prog, zeros)).tolist() == list(range(rows))
+        assert np.flatnonzero(got).tolist() == list(range(rows))
 
     def test_pack_columns_layout_and_zero_tail(self):
         bits = np.zeros((2, 70), dtype=bool)
