@@ -46,7 +46,6 @@ SAT_CAP = 7
 # takes about a second on a 2-core Xeon VM
 ENCODE_CAP = 27
 
-_CHUNK = 1 << 14
 # rows per block of the SAT scan: a block is the n^k rows that share their
 # leading n-k steps, with k as large as this budget allows
 _BLOCK = 1 << 17
@@ -75,9 +74,7 @@ def encode_graph(g: Graph) -> PathEncoding:
     conjuncts: dict[str, list[Formula]] = {tag: [] for tag in PART_TAGS}
     repeat_pos: dict[tuple[int, int, int], int] = {}
 
-    for v in verts:
-        c = chain_disj([x_var(i, v) for i in steps])
-        conjuncts["coverage"].append(c)
+    conjuncts["coverage"] = coverage(n)
 
     for v in verts:
         for i in steps:
@@ -115,6 +112,11 @@ def encode_graph(g: Graph) -> PathEncoding:
         repeat_pos=repeat_pos,
         edge_pos=edge_pos,
     )
+
+
+def coverage(n: int) -> list[Formula]:
+    """coverage's conjuncts in conjunct order: for each vertex v, some step visits v."""
+    return [chain_disj([x_var(i, v) for i in range(1, n + 1)]) for v in range(1, n + 1)]
 
 
 def edge_bans(g: Graph) -> dict[tuple[int, int, int], Formula]:
@@ -235,45 +237,33 @@ def _compile_xvars(part: Formula) -> Program:
     return prog
 
 
-# n -> its scan's chunks, stored by `_chunks_of` once the scan is complete
-# and kept for the life of the process
-_chunks: dict[int, list[np.ndarray]] = {}
+# n -> coverage's hits, stored by `_rows_of` once the scan is complete and
+# kept for the life of the process
+_rows: dict[int, np.ndarray] = {}
 
 
-def _chunks_of(n: int) -> list[np.ndarray]:
-    """The functional rows that satisfy every part depending on n alone, as
-    step-major (n, rows) uint8 vertex sequences in base-n order, split into
-    nonempty chunks; scanned on the first call for n.
+def _rows_of(n: int) -> np.ndarray:
+    """The functional rows that satisfy coverage, which are the n! permutations,
+    as one step-major (n, n!) uint8 array in base-n order; scanned on the
+    first call for n.
 
-    The first part is evaluated on each block and its hits are buffered;
-    the buffer is narrowed through the other parts when it holds `_CHUNK`
-    rows or the scan ends, and what survives is a chunk.
+    A permutation satisfies repeat_ban, step_occupied and step_unique too,
+    so the encoding holds on a functional row exactly when coverage and
+    edge_ban do. Each block's hits are decoded into vertex sequences and
+    concatenated once the last block is done.
     """
-    chunks = _chunks.get(n)
-    if chunks is not None:
-        return chunks
-    # the complete digraph's encoding is exactly the parts that depend on n alone
-    parts = encode_graph(Graph(n, frozenset(ordered_pairs(n)))).parts
-    first, *rest = [_compile_xvars(parts[tag]) for tag in PART_TAGS if parts[tag] is not None]
+    rows = _rows.get(n)
+    if rows is not None:
+        return rows
+    prog = _compile_xvars(conjunction(coverage(n)))
     k = _block_steps(n)
     low = _low_columns(n, k)
-    blocks = n ** (n - k)
-    chunks, held, count = [], [], 0
-    for block in range(blocks):
-        root = eval_words(first, _block_columns(first, low, n, k, block))
-        offsets = np.flatnonzero(unpack_rows(root, n**k))
-        if offsets.shape[0]:
-            held.append(_block_rows(n, k, block, offsets))
-            count += offsets.shape[0]
-        if count and (count >= _CHUNK or block == blocks - 1):
-            rows = np.concatenate(held, axis=1)
-            for prog in rest:
-                rows = rows[:, _holds(prog, rows)]
-            if rows.shape[1]:
-                chunks.append(rows)
-            held, count = [], 0
-    _chunks[n] = chunks
-    return chunks
+    hits = []
+    for block in range(n ** (n - k)):
+        root = eval_words(prog, _block_columns(prog, low, n, k, block))
+        hits.append(_block_rows(n, k, block, np.flatnonzero(unpack_rows(root, n**k))))
+    rows = _rows[n] = np.concatenate(hits, axis=1)
+    return rows
 
 
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
@@ -283,29 +273,27 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     step_occupied and step_unique force any satisfying assignment to be
     functional, so the restriction loses nothing. The formula is the
     conjunction of its present parts, so a row satisfies it exactly when it
-    satisfies every part.
+    satisfies every part; on a functional row that is exactly when coverage
+    and edge_ban hold, since every functional row that satisfies coverage
+    is a permutation and satisfies repeat_ban, step_occupied and
+    step_unique as well.
 
-    Four parts depend on n alone, so the rows that satisfy them are the
-    same for every graph of that n: the first graph of each n scans for
-    them (`_chunks_of`) and they are kept for the life of the process. The
-    n^n rows are scanned once, in base-n order, in blocks of n^k
-    consecutive rows (k set by `_BLOCK`). Inside a block steps 1..n-k are
-    fixed, so their columns are constant words; the columns of the low k
-    steps are the same for every block and are packed once per scan. The
-    first part (coverage, true only on the n! permutations) is evaluated
-    on each block 64 rows per word; its hits are decoded into vertex
-    sequences, buffered, and narrowed through the other n-only parts
-    whenever the buffer holds `_CHUNK` rows or the scan ends. A scan cut
-    short keeps nothing.
+    Coverage depends on n alone, so its rows are the same for every graph
+    of that n: the first graph of each n scans for them (`_rows_of`) and
+    they are kept for the life of the process. The n^n rows are scanned
+    once, in base-n order, in blocks of n^k consecutive rows (k set by
+    `_BLOCK`). Inside a block steps 1..n-k are fixed, so their columns are
+    constant words; the columns of the low k steps are the same for every
+    block and are packed once per scan. Coverage is evaluated on each block
+    64 rows per word. A scan cut short keeps nothing.
 
     This call builds only g's edge_ban part, compiles it without keeping
-    it, and evaluates it over the kept chunks. With no missing edge there
-    is no edge_ban, and any kept row is a witness.
+    it, and evaluates it over the kept rows. With no missing edge there is
+    no edge_ban, and any kept row is a witness.
     """
     check_sat_cap(g.n, cap)
-    chunks = _chunks_of(g.n)
+    rows = _rows_of(g.n)
     part = conjunction(list(edge_bans(g).values()))
     if part is None:
-        return bool(chunks)
-    prog = _compile_xvars(part)
-    return any(_holds(prog, rows).any() for rows in chunks)
+        return bool(rows.shape[1])
+    return bool(_holds(_compile_xvars(part), rows).any())

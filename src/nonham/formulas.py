@@ -229,13 +229,18 @@ _X_NAME = re.compile(r"X_(\d+)_(\d+)")
 
 
 def parse_var_name(text: str) -> VarName:
-    """The variable a table entry names; ValueError when the name is bad."""
+    """The variable a table entry names; ValueError when the name is bad or
+    is not the variable's own `.name` (a leading zero, say)."""
     m = _X_NAME.fullmatch(text)
     if m:
-        return XVar(int(m.group(1)), int(m.group(2)))
-    if text.startswith("Q_"):
-        return QVar(text[2:])
-    raise ValueError(f"bad variable name: {text!r}")
+        name = XVar(int(m.group(1)), int(m.group(2)))
+    elif text.startswith("Q_"):
+        name = QVar(text[2:])
+    else:
+        raise ValueError(f"bad variable name: {text!r}")
+    if name.name != text:
+        raise ValueError(f"non-canonical variable name: {text!r}")
+    return name
 
 
 # Largest weight a table entry may have. A table shares subformulas, so a few

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from functools import reduce
+from itertools import permutations
 from pathlib import Path
 from random import Random
 
@@ -17,6 +18,7 @@ from nonham.encoding import (
     SAT_CAP,
     conjunct_path,
     conjunction,
+    coverage,
     edge_bans,
     encode_graph,
     part_path,
@@ -197,18 +199,15 @@ class TestSatisfiability:
             parts = [enc.parts[tag] for tag in enc.present]
             assert reduce(conj, parts) is enc.formula
 
-    @pytest.mark.parametrize("n, chunk, block, seeds", [
-        (5, 7, 25, range(8)), (5, 1000, 125, range(8)), (6, 101, 216, range(4)),
-        (5, 7, encoding._BLOCK, range(8))])
+    @pytest.mark.parametrize("n, block, seeds", [
+        (5, 25, range(8)), (5, 125, range(8)), (6, 216, range(4)),
+        (5, encoding._BLOCK, range(8))])
     def test_part_scan_matches_whole_formula_over_functional_rows(
-            self, monkeypatch, n, chunk, block, seeds):
-        # chunks of 7 and 101 rows fill the buffer many times before the
-        # flush at the end of the scan; 1000 rows hold all 120 permutations
-        # of n=5, so only the flush at the end runs. Blocks of 25, 125 and
-        # 216 rows fix 3, 2 and 3 leading steps, and none is a whole number
-        # of 64-row words; the default budget scans n=5 as one block.
-        monkeypatch.setattr(encoding, "_chunks", {})
-        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+            self, monkeypatch, n, block, seeds):
+        # blocks of 25, 125 and 216 rows fix 3, 2 and 3 leading steps, and
+        # none is a whole number of 64-row words; the default budget scans
+        # n=5 as one block
+        monkeypatch.setattr(encoding, "_rows", {})
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         verdicts = set()
@@ -220,29 +219,34 @@ class TestSatisfiability:
             verdicts.add(want)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n, chunk, block", [
-        (3, 2, 3), (4, 5, 16), (4, 1000, 64), (5, 7, 25), (6, 101, 216)])
-    def test_scan_keeps_exactly_the_rows_of_the_n_only_parts(
-            self, monkeypatch, n, chunk, block):
-        # whatever the budgets, the kept chunks concatenate to the rows of
-        # the base-n table on which coverage, repeat_ban, step_occupied and
-        # step_unique all hold, in table order
-        monkeypatch.setattr(encoding, "_chunks", {})
-        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+    @pytest.mark.parametrize("n, block", [
+        (1, 1), (2, 2), (3, 3), (4, 16), (4, 64), (5, 25), (6, 216)])
+    def test_scan_keeps_exactly_the_rows_of_the_n_only_parts(self, monkeypatch, n, block):
+        # whatever the budget, the kept rows are the rows of the base-n
+        # table on which every present one of coverage, repeat_ban,
+        # step_occupied and step_unique holds, in table order: coverage's
+        # hits need no narrowing by the other three
+        monkeypatch.setattr(encoding, "_rows", {})
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         parts = encode_graph(Graph(n, frozenset())).parts
         keep = np.ones(n**n, dtype=bool)
         for tag in PART_TAGS[:4]:
-            keep &= holds_on(parts[tag], seqs)
-        chunks = encoding._chunks_of(n)
-        assert all(rows.shape[1] for rows in chunks)
-        assert np.array_equal(np.concatenate(chunks, axis=1), seqs[keep].T)
+            if parts[tag] is not None:
+                keep &= holds_on(parts[tag], seqs)
+        assert np.array_equal(encoding._rows_of(n), seqs[keep].T)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kept_rows_are_the_permutations_in_order(self, monkeypatch, n):
+        monkeypatch.setattr(encoding, "_rows", {})
+        rows = encoding._rows_of(n)
+        assert rows.dtype == np.uint8
+        assert [tuple(map(int, col)) for col in rows.T] == list(permutations(range(1, n + 1)))
 
     def test_an_interrupted_scan_caches_nothing(self, monkeypatch):
         # a scan that raises part-way keeps no rows; the next call scans
         # n=5 again from its first block, and the one after reads the cache
-        monkeypatch.setattr(encoding, "_chunks", {})
+        monkeypatch.setattr(encoding, "_rows", {})
         monkeypatch.setattr(encoding, "_BLOCK", 25)
         calls = []
         block_columns = encoding._block_columns
@@ -258,10 +262,10 @@ class TestSatisfiability:
         assert is_hamiltonian(ham) is not None and is_hamiltonian(nonham) is None
         with pytest.raises(RuntimeError, match="interrupted"):
             satisfiable(ham)
-        assert 5 not in encoding._chunks
+        assert 5 not in encoding._rows
         assert satisfiable(ham) and not satisfiable(nonham)
         assert calls == [0, 1, 2, *range(5**3)]
-        assert list(encoding._chunks) == [5]
+        assert list(encoding._rows) == [5]
 
     @pytest.mark.parametrize("n, budget", [
         (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])
@@ -285,26 +289,24 @@ class TestSatisfiability:
     def test_scans_cache_no_program_per_graph(self, monkeypatch):
         # only the rows that satisfy the n-only parts are kept, once per n;
         # each graph's edge_ban program goes with its call
-        monkeypatch.setattr(encoding, "_chunks", {})
+        monkeypatch.setattr(encoding, "_rows", {})
         satisfiable(Graph(5, frozenset()))
-        kept = list(encoding._chunks[5])
+        kept = encoding._rows[5]
         verdicts = set()
         for seed in range(20):
             g = random_graph(Random(seed), 5, edge_prob=0.4)
             want = is_hamiltonian(g) is not None
             assert satisfiable(g) == want
             verdicts.add(want)
-        assert list(encoding._chunks) == [5]
-        assert len(encoding._chunks[5]) == len(kept)
-        assert all(a is b for a, b in zip(encoding._chunks[5], kept))
+        assert list(encoding._rows) == [5]
+        assert encoding._rows[5] is kept
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n, chunk, block, seeds", [
-        (5, 7, 25, range(8)), (5, 1000, 125, range(8)), (6, 101, 216, range(4))])
-    def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, chunk, block, seeds):
+    @pytest.mark.parametrize("n, block, seeds", [
+        (5, 25, range(8)), (5, 125, range(8)), (6, 216, range(4))])
+    def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, block, seeds):
         # each graph alone on an empty cache, then all of them twice in one
-        # cache: the first graph scans, every later one reads its chunks
-        monkeypatch.setattr(encoding, "_CHUNK", chunk)
+        # cache: the first graph scans, every later one reads its rows
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         graphs = [random_graph(Random(seed), n, edge_prob=0.3) for seed in seeds]
@@ -312,18 +314,33 @@ class TestSatisfiability:
         assert wants == [is_hamiltonian(g) is not None for g in graphs]
         assert set(wants) == {True, False}
         for g, want in zip(graphs, wants):
-            monkeypatch.setattr(encoding, "_chunks", {})
+            monkeypatch.setattr(encoding, "_rows", {})
             assert satisfiable(g) == want
-        monkeypatch.setattr(encoding, "_chunks", {})
+        monkeypatch.setattr(encoding, "_rows", {})
         for g, want in zip(graphs + graphs, wants + wants):
             assert satisfiable(g) == want
 
-    def test_import_does_no_scan(self):
-        # the scan fills on the first oracle call, never at import
-        code = "import nonham.cli, nonham.encoding as e; assert e._chunks == {}, e._chunks"
+    @staticmethod
+    def run_fresh(code: str) -> None:
+        """Run code in a fresh interpreter that imports this checkout's package."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(encoding.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_import_does_no_scan(self):
+        # the scan fills on the first oracle call, never at import
+        self.run_fresh("import nonham.cli, nonham.encoding as e; assert e._rows == {}, e._rows")
+
+    def test_scan_interns_coverage_only(self):
+        # the complete n=5 graph has no edge_ban, so its call interns only
+        # coverage's variables, disjunction chains and conjunction tree
+        self.run_fresh(
+            "from nonham import formulas as f\n"
+            "from nonham.encoding import satisfiable\n"
+            "from nonham.graphs import Graph, ordered_pairs\n"
+            "assert satisfiable(Graph(5, frozenset(ordered_pairs(5))))\n"
+            "kinds = {node.kind for node in f._interned.values()}\n"
+            "assert kinds == {f.VAR, f.AND, f.OR}, kinds\n")
 
     def test_n7_scan_crosses_blocks_and_matches_path_search(self):
         # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1
@@ -353,6 +370,8 @@ class TestEdgeBans:
         for g in self.graphs():
             enc = encode_graph(g)
             bans = edge_bans(g)
+            assert conjunction(coverage(g.n)) is enc.parts["coverage"]
+            assert coverage(g.n) == enc.conjuncts["coverage"]
             assert conjunction(list(bans.values())) is enc.parts["edge_ban"]
             assert list(bans.values()) == enc.conjuncts["edge_ban"]
             assert {key: pos for pos, key in enumerate(bans)} == enc.edge_pos

@@ -106,7 +106,7 @@ class TestVariables:
     def test_parse_var_name_round_trip(self):
         assert parse_var_name("X_3_7") == XVar(3, 7)
         assert parse_var_name("Q_bot") == QVar("bot")
-        for bad in ("Y_1", "X_0_1", "Q_", "Q_a b"):
+        for bad in ("Y_1", "X_0_1", "Q_", "Q_a b", "X_01_2", "X_1_002"):
             with pytest.raises(ValueError):
                 parse_var_name(bad)
 
@@ -196,6 +196,7 @@ class TestTable:
             [[3, 0, 0]],
             [["var", "p"]],
             [["var", "X_0_1"]],
+            [["var", "X_01_2"]],
             [["var", "X_" + "9" * 5000 + "_1"]],
             [["var", 7]],
             [["false"], ["->", False, False]],
