@@ -19,8 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 from .builder import BuildReport, build_refutation, builder_limit, check_builder_cap
 from .dagproof import Compression, compress_and_verify
 from .errors import NonhamError
@@ -181,7 +179,10 @@ class GrowthFit:
 
 def fit_exponent(xs, ys) -> GrowthFit:
     """Least-squares slope of log(y) on log(x) with a 95% t-interval."""
-    from scipy import stats  # imported here: it costs about a second at startup
+    # imported here: scipy.stats costs about a second at start-up and numpy
+    # about 0.1 s, and nothing else in the package needs either
+    import numpy as np
+    from scipy import stats
 
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray(ys, dtype=float))

@@ -15,13 +15,21 @@ Parts whose index range is empty (n = 1, or no missing edges) are absent.
 Shapes are fixed for determinism and proof size: conjunction blocks are
 balanced trees, disjunctions are right-nested chains, and the top level is
 a left fold over the present parts in the order above.
+
+`satisfiable` decides the encoding by brute force through the word kernel.
+Only the n^n functional rows (one vertex per step) need a look, and on
+those the encoding holds exactly when coverage and edge_ban do. Coverage
+depends on n alone, and every graph on n vertices picks its edge_ban
+clauses from the n(n-1)^2 of the empty graph. So the first call for an n
+scans for coverage's rows, the n! permutations, evaluates every possible
+clause over them in one program and keeps each clause's column; a graph
+then ANDs its own clauses' columns and builds no formula.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CapExceededError
 from .formulas import (
@@ -36,7 +44,7 @@ from .formulas import (
     x_var,
 )
 from .graphs import Graph, ordered_pairs
-from .kernels import Program, compile_program, eval_words, pack_columns, unpack_rows
+from .kernels import Program, compile_program, eval_words
 
 PART_TAGS = ("coverage", "repeat_ban", "step_occupied", "step_unique", "edge_ban")
 
@@ -161,14 +169,6 @@ def check_encode_cap(n: int) -> None:
         raise CapExceededError(f"n={n} exceeds encode cap {ENCODE_CAP}")
 
 
-def _holds(prog: Program, seqs: np.ndarray) -> np.ndarray:
-    """Truth of prog on each column of a step-major (n, rows) vertex block."""
-    bits = np.empty((len(prog.var_slots), seqs.shape[1]), dtype=bool)
-    for slot, name in enumerate(prog.var_slots):
-        np.equal(seqs[name.step - 1], name.vertex, out=bits[slot])
-    return unpack_rows(eval_words(prog, pack_columns(bits)), seqs.shape[1])
-
-
 def _block_steps(n: int) -> int:
     """k, the number of low steps a block varies: largest with n^k <= _BLOCK, at most n."""
     k = 0
@@ -177,19 +177,37 @@ def _block_steps(n: int) -> int:
     return k
 
 
-def _low_columns(n: int, k: int) -> np.ndarray:
-    """Packed columns of X_{n-k+j+1, v} over one block's n^k rows, row j*n + v - 1.
+def _column(seq: bytes, vertex: int) -> int:
+    """The int whose bit r is set exactly when seq[r] is `vertex`."""
+    return int(seq.translate(b"0" * vertex + b"1" + b"0" * (255 - vertex))[::-1], 2)
 
-    A block's offset o spells steps n-k+1..n in base n, most significant
-    first, so these columns are the same for every block and every graph.
-    """
-    low = np.empty((k * n, -(-(n**k) // 64)), dtype=np.uint64)
-    for j in range(k):
-        digit = np.repeat(np.arange(n), n ** (k - 1 - j))
-        for v in range(n):
-            # one column at a time: the bool rows of all k*n would take 64x the words
-            low[j * n + v] = pack_columns(np.tile(digit == v, n**j)[None])[0]
-    return low
+
+def _repeat(x: int, width: int, times: int) -> int:
+    """`times` copies of the `width`-bit pattern x side by side."""
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= x << shift
+            shift += width
+        x |= x << width
+        width *= 2
+        times >>= 1
+    return out
+
+
+def _low_columns(n: int, k: int) -> list[int]:
+    """Columns of X_{n-k+j+1, v} over one block's n^k rows, item j*n + v - 1:
+    a block's offset spells steps n-k+1..n in base n, step n-k+1 first, so
+    step n-k+j+1 holds each vertex for n^(k-1-j) rows in turn, in every block."""
+    runs = [n ** (k - 1 - j) for j in range(k)]
+    return [_repeat(((1 << run) - 1) << v * run, n * run, n**k // (n * run))
+            for run in runs for v in range(n)]
+
+
+def _low_digits(n: int, k: int) -> list[bytes]:
+    """Vertex of step n-k+j+1 at each of a block's n^k offsets, item j."""
+    return [b"".join(bytes([v]) * n ** (k - 1 - j) for v in range(1, n + 1)) * n**j
+            for j in range(k)]
 
 
 def _prefix(n: int, k: int, block: int) -> list[int]:
@@ -199,71 +217,76 @@ def _prefix(n: int, k: int, block: int) -> list[int]:
     return [block // n ** (lead - step) % n + 1 for step in range(1, lead + 1)]
 
 
-def _block_columns(prog: Program, low: np.ndarray, n: int, k: int, block: int) -> np.ndarray:
-    """prog's packed columns over rows block*n^k .. (block+1)*n^k - 1, given
-    `low`, the `_low_columns(n, k)`.
-
-    Steps 1..n-k do not change inside the block, so their columns are
-    constant words: all ones up to the block's last row, or zeros.
-    """
-    rows = n**k
-    ones = np.full(low.shape[1], np.uint64(0xFFFF_FFFF_FFFF_FFFF))
-    if rows % 64:
-        ones[-1] = np.uint64((1 << rows % 64) - 1)
+def _block_columns(prog: Program, low: list[int], n: int, k: int, block: int) -> list[int]:
+    """prog's columns over rows block*n^k .. (block+1)*n^k - 1, given `low`,
+    the `_low_columns(n, k)`. Steps 1..n-k do not change inside the block,
+    so their columns are all ones over the block's rows, or zero."""
+    lead, ones = n - k, (1 << n**k) - 1
     prefix = _prefix(n, k, block)
-    cols = np.zeros((len(prog.var_slots), low.shape[1]), dtype=np.uint64)
-    for slot, name in enumerate(prog.var_slots):
-        if name.step > len(prefix):
-            cols[slot] = low[(name.step - len(prefix) - 1) * n + name.vertex - 1]
-        elif prefix[name.step - 1] == name.vertex:
-            cols[slot] = ones
-    return cols
+    return [low[(name.step - lead - 1) * n + name.vertex - 1] if name.step > lead
+            else ones if prefix[name.step - 1] == name.vertex else 0
+            for name in prog.var_slots]
 
 
-def _block_rows(n: int, k: int, block: int, offsets: np.ndarray) -> np.ndarray:
-    """Step-major (n, len(offsets)) uint8 vertex sequences of rows block*n^k + offsets."""
-    seqs = np.empty((n, offsets.shape[0]), dtype=np.uint8)
-    seqs[: n - k] = np.asarray(_prefix(n, k, block), dtype=np.uint8)[:, None]
-    for step in range(n - k + 1, n + 1):
-        seqs[step - 1] = offsets // n ** (n - step) % n + 1
-    return seqs
+def _block_rows(n: int, k: int, block: int, offsets: list[int],
+                digits: list[bytes]) -> list[bytes]:
+    """Vertex of each step 1..n in rows block*n^k + offsets, one bytes per
+    step, given `digits`, the `_low_digits(n, k)`."""
+    return ([bytes([v]) * len(offsets) for v in _prefix(n, k, block)]
+            + [bytes(map(d.__getitem__, offsets)) for d in digits])
 
 
-def _compile_xvars(part: Formula) -> Program:
-    prog = compile_program(part)
+def _compile_xvars(*parts: Formula) -> Program:
+    prog = compile_program(*parts)
     for name in prog.var_slots:
         if not isinstance(name, XVar):
             raise AssertionError(f"unexpected variable in encoding: {name}")
     return prog
 
 
-# n -> coverage's hits, stored by `_rows_of` once the scan is complete and
-# kept for the life of the process
-_rows: dict[int, np.ndarray] = {}
+def _rows_of(n: int) -> tuple[bytes, ...]:
+    """The functional rows that satisfy coverage, which are the n!
+    permutations, in base-n order and step-major: item i-1 holds each row's
+    vertex at step i.
 
-
-def _rows_of(n: int) -> np.ndarray:
-    """The functional rows that satisfy coverage, which are the n! permutations,
-    as one step-major (n, n!) uint8 array in base-n order; scanned on the
-    first call for n.
-
-    A permutation satisfies repeat_ban, step_occupied and step_unique too,
-    so the encoding holds on a functional row exactly when coverage and
-    edge_ban do. Each block's hits are decoded into vertex sequences and
-    concatenated once the last block is done.
+    The n^n rows are scanned in blocks of n^k consecutive rows (k set by
+    `_BLOCK`). Inside a block steps 1..n-k are fixed, so their columns are
+    constant; the columns of the low k steps are the same in every block
+    and are built once per scan. Each block's hits are decoded into
+    vertices, and the blocks' vertices are joined once the last is done.
     """
-    rows = _rows.get(n)
-    if rows is not None:
-        return rows
     prog = _compile_xvars(conjunction(coverage(n)))
     k = _block_steps(n)
+    digits = _low_digits(n, k)
     low = _low_columns(n, k)
-    hits = []
+    steps: list[list[bytes]] = [[] for _ in range(n)]
     for block in range(n ** (n - k)):
-        root = eval_words(prog, _block_columns(prog, low, n, k, block))
-        hits.append(_block_rows(n, k, block, np.flatnonzero(unpack_rows(root, n**k))))
-    rows = _rows[n] = np.concatenate(hits, axis=1)
-    return rows
+        [hits] = eval_words(prog, _block_columns(prog, low, n, k, block), n**k)
+        offsets = [m.start() for m in re.finditer("1", format(hits, "b")[::-1])]
+        for step, seq in zip(steps, _block_rows(n, k, block, offsets, digits)):
+            step.append(seq)
+    return tuple(b"".join(step) for step in steps)
+
+
+# n -> (full, columns): one bit per row `_rows_of(n)` keeps, and edge_ban
+# clause (v, w, i)'s column over them by key; kept for the life of the process
+_clauses: dict[int, tuple[int, dict[tuple[int, int, int], int]]] = {}
+
+
+def _clauses_of(n: int) -> tuple[int, dict[tuple[int, int, int], int]]:
+    """The `_clauses` entry for n, made on the first call for n: edge_ban's
+    clauses on the empty graph compiled as one program and evaluated once
+    over the rows `_rows_of(n)` keeps."""
+    cached = _clauses.get(n)
+    if cached is None:
+        rows = _rows_of(n)
+        bans = edge_bans(Graph(n, frozenset()))
+        prog = _compile_xvars(*bans.values())
+        count = len(rows[0])
+        cols = [_column(rows[name.step - 1], name.vertex) for name in prog.var_slots]
+        cached = (1 << count) - 1, dict(zip(bans, eval_words(prog, cols, count)))
+        _clauses[n] = cached
+    return cached
 
 
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
@@ -272,28 +295,20 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     Only functional assignments (exactly one vertex per step) are scanned:
     step_occupied and step_unique force any satisfying assignment to be
     functional, so the restriction loses nothing. The formula is the
-    conjunction of its present parts, so a row satisfies it exactly when it
-    satisfies every part; on a functional row that is exactly when coverage
-    and edge_ban hold, since every functional row that satisfies coverage
-    is a permutation and satisfies repeat_ban, step_occupied and
-    step_unique as well.
+    conjunction of its present parts; on a functional row that holds
+    exactly when coverage and edge_ban do, since every functional row that
+    satisfies coverage is a permutation and satisfies repeat_ban,
+    step_occupied and step_unique as well.
 
-    Coverage depends on n alone, so its rows are the same for every graph
-    of that n: the first graph of each n scans for them (`_rows_of`) and
-    they are kept for the life of the process. The n^n rows are scanned
-    once, in base-n order, in blocks of n^k consecutive rows (k set by
-    `_BLOCK`). Inside a block steps 1..n-k are fixed, so their columns are
-    constant words; the columns of the low k steps are the same for every
-    block and are packed once per scan. Coverage is evaluated on each block
-    64 rows per word. A scan cut short keeps nothing.
-
-    This call builds only g's edge_ban part, compiles it without keeping
-    it, and evaluates it over the kept rows. With no missing edge there is
-    no edge_ban, and any kept row is a witness.
+    The first graph of each n pays for the scan (`_rows_of`) and the clause
+    columns (`_clauses_of`); a scan cut short keeps nothing. This call ANDs
+    the kept columns of g's clauses, those of its missing pairs at every
+    step. With no missing edge there is no edge_ban, and any kept row is a
+    witness.
     """
     check_sat_cap(g.n, cap)
-    rows = _rows_of(g.n)
-    part = conjunction(list(edge_bans(g).values()))
-    if part is None:
-        return bool(rows.shape[1])
-    return bool(_holds(_compile_xvars(part), rows).any())
+    holds, columns = _clauses_of(g.n)
+    for v, w in g.missing_pairs():
+        for i in range(1, g.n):
+            holds &= columns[(v, w, i)]
+    return bool(holds)

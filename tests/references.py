@@ -5,10 +5,11 @@ table and the n^n vertex-sequence table as bool and int rows, a formula's
 truth value under one assignment, a graph rebuilt from its id and written
 as text, the Hamiltonian path search as a scan over every permutation, the
 translated goal's axiom fold built formula by formula, a tree proof
-embedded as a dag with one node per occurrence, and documents and formula
-tables as the parsed JSON values the writers' text stands for. One helper
-is no reference: `eval_rows` runs a compiled program over bool rows
-through the package's own word kernel.
+embedded as a dag with one node per occurrence, documents and formula
+tables as the parsed JSON values the writers' text stands for, and bool
+columns packed into the kernel's int columns through numpy's bit packing.
+One helper is no reference: `eval_rows` runs a compiled program over bool
+rows through the package's own word kernel.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from nonham.errors import NonhamError, UnsupportedRuleError
 from nonham.formulas import AND, BOT, OR, VAR, Formula, VarName, imp, subformulas, table_id
 from nonham.graphs import Graph, ordered_pairs
 from nonham.implicational import Translation
-from nonham.kernels import Program, eval_words, pack_columns, unpack_rows
+from nonham.kernels import Program, eval_words
 from nonham.prooftree import IMPLICATIONAL_RULES, ProofTree, dumps_proof
 
 
@@ -48,9 +49,26 @@ def bit_block(nvars: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def pack_columns(bits: np.ndarray) -> list[int]:
+    """Each row of a (columns, rows) bool matrix as one int: bit r is entry r."""
+    return [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+            for b in np.asarray(bits, dtype=bool)]
+
+
+def unpack_column(word: int, rows: int) -> np.ndarray:
+    """Bits 0..rows-1 of an int column as a bool vector; any other bit raises."""
+    if word < 0 or word >> rows:
+        raise ValueError(f"column has bits outside 0..{rows - 1}")
+    raw = np.frombuffer(word.to_bytes(-(-rows // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=rows, bitorder="little").view(bool)
+
+
 def eval_rows(prog: Program, rows: np.ndarray) -> np.ndarray:
-    """prog's truth on each row of a (rows, nvars) bool matrix, through the word kernel."""
-    return unpack_rows(eval_words(prog, pack_columns(rows.T)), rows.shape[0])
+    """prog's truth on each row of a (rows, nvars) bool matrix: the matrix's
+    columns packed into ints, prog's one root evaluated by the word kernel,
+    and its column unpacked, with any bit outside the rows refused."""
+    [root] = eval_words(prog, pack_columns(rows.T), rows.shape[0])
+    return unpack_column(root, rows.shape[0])
 
 
 def graph_from_id(n: int, graph_id: int) -> Graph:

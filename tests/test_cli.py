@@ -1,5 +1,6 @@
 """End-to-end command line tests driving main() with temp files."""
 
+import ast
 import importlib
 import json
 import os
@@ -426,9 +427,16 @@ class TestMisc:
         assert isinstance(nonham.__version__, str)
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        src = str(Path(nonham.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, nonham.cli; print('scipy.stats' in sys.modules)"
+        # numpy and scipy serve `bench --fit` alone: neither the command line
+        # nor any module the benchmark's stages import may load them
+        src = Path(nonham.__file__).resolve().parent.parent
+        stages = src.parent / "perfbench" / "stages.py"
+        modules = {node.module for node in ast.walk(ast.parse(stages.read_text("utf-8")))
+                   if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nonham.")}
+        assert "nonham.encoding" in modules and "nonham.kernels" in modules
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (f"import sys, nonham.cli; import {', '.join(sorted(modules))}\n"
+                "print(sorted(m for m in ('numpy', 'scipy', 'scipy.stats') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"

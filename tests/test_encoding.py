@@ -27,8 +27,15 @@ from nonham.encoding import (
 from nonham.errors import CapExceededError
 from nonham.formulas import AND, XVar, bot, conj, disj, imp, x_var
 from nonham.graphs import Graph, enumerate_graphs, is_hamiltonian, ordered_pairs, random_graph
-from nonham.kernels import compile_program, pack_columns
-from references import bit_block, eval_formula, eval_rows, graph_from_id, step_vertex_block
+from nonham.kernels import compile_program
+from references import (
+    bit_block,
+    eval_formula,
+    eval_rows,
+    graph_from_id,
+    pack_columns,
+    step_vertex_block,
+)
 
 
 def descend(f, path):
@@ -207,7 +214,7 @@ class TestSatisfiability:
         # blocks of 25, 125 and 216 rows fix 3, 2 and 3 leading steps, and
         # none is a whole number of 64-row words; the default budget scans
         # n=5 as one block
-        monkeypatch.setattr(encoding, "_rows", {})
+        monkeypatch.setattr(encoding, "_clauses", {})
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         verdicts = set()
@@ -226,7 +233,6 @@ class TestSatisfiability:
         # table on which every present one of coverage, repeat_ban,
         # step_occupied and step_unique holds, in table order: coverage's
         # hits need no narrowing by the other three
-        monkeypatch.setattr(encoding, "_rows", {})
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         parts = encode_graph(Graph(n, frozenset())).parts
@@ -234,19 +240,19 @@ class TestSatisfiability:
         for tag in PART_TAGS[:4]:
             if parts[tag] is not None:
                 keep &= holds_on(parts[tag], seqs)
-        assert np.array_equal(encoding._rows_of(n), seqs[keep].T)
+        kept = [list(step) for step in encoding._rows_of(n)]
+        assert np.array_equal(np.array(kept), seqs[keep].T)
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_kept_rows_are_the_permutations_in_order(self, monkeypatch, n):
-        monkeypatch.setattr(encoding, "_rows", {})
+    def test_kept_rows_are_the_permutations_in_order(self, n):
         rows = encoding._rows_of(n)
-        assert rows.dtype == np.uint8
-        assert [tuple(map(int, col)) for col in rows.T] == list(permutations(range(1, n + 1)))
+        assert len(rows) == n and all(type(step) is bytes for step in rows)
+        assert list(zip(*rows)) == list(permutations(range(1, n + 1)))
 
     def test_an_interrupted_scan_caches_nothing(self, monkeypatch):
         # a scan that raises part-way keeps no rows; the next call scans
         # n=5 again from its first block, and the one after reads the cache
-        monkeypatch.setattr(encoding, "_rows", {})
+        monkeypatch.setattr(encoding, "_clauses", {})
         monkeypatch.setattr(encoding, "_BLOCK", 25)
         calls = []
         block_columns = encoding._block_columns
@@ -262,51 +268,52 @@ class TestSatisfiability:
         assert is_hamiltonian(ham) is not None and is_hamiltonian(nonham) is None
         with pytest.raises(RuntimeError, match="interrupted"):
             satisfiable(ham)
-        assert 5 not in encoding._rows
+        assert 5 not in encoding._clauses
         assert satisfiable(ham) and not satisfiable(nonham)
         assert calls == [0, 1, 2, *range(5**3)]
-        assert list(encoding._rows) == [5]
+        assert list(encoding._clauses) == [5]
 
     @pytest.mark.parametrize("n, budget", [
         (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])
     def test_block_columns_are_the_packed_rows_of_the_block(self, monkeypatch, n, budget):
-        # every X column of every block, tail bits included, and every row
-        # decoded from a block offset, against the base-n row table
+        # every X column of every block, and every row decoded from a block
+        # offset, against the base-n row table
         monkeypatch.setattr(encoding, "_BLOCK", budget)
         k = encoding._block_steps(n)
         assert n**k <= budget and (k == n or n ** (k + 1) > budget)
         prog = compile_program(encode_graph(Graph(n, frozenset())).parts["coverage"])
         assert len(prog.var_slots) == n * n
         low = encoding._low_columns(n, k)
+        digits = encoding._low_digits(n, k)
         size = n**k
         for block in range(n ** (n - k)):
             rows = step_vertex_block(n, block * size, (block + 1) * size)
             bits = np.array([rows[:, name.step - 1] == name.vertex for name in prog.var_slots])
-            assert np.array_equal(encoding._block_columns(prog, low, n, k, block), pack_columns(bits))
-            offsets = np.arange(size)
-            assert np.array_equal(encoding._block_rows(n, k, block, offsets), rows.T)
+            assert encoding._block_columns(prog, low, n, k, block) == pack_columns(bits)
+            seqs = encoding._block_rows(n, k, block, list(range(size)), digits)
+            assert [list(step) for step in seqs] == rows.T.tolist()
 
     def test_scans_cache_no_program_per_graph(self, monkeypatch):
-        # only the rows that satisfy the n-only parts are kept, once per n;
-        # each graph's edge_ban program goes with its call
-        monkeypatch.setattr(encoding, "_rows", {})
+        # only the clause columns over the rows that satisfy the n-only
+        # parts are kept, once per n; no graph compiles a program
+        monkeypatch.setattr(encoding, "_clauses", {})
         satisfiable(Graph(5, frozenset()))
-        kept = encoding._rows[5]
+        kept = encoding._clauses[5]
         verdicts = set()
         for seed in range(20):
             g = random_graph(Random(seed), 5, edge_prob=0.4)
             want = is_hamiltonian(g) is not None
             assert satisfiable(g) == want
             verdicts.add(want)
-        assert list(encoding._rows) == [5]
-        assert encoding._rows[5] is kept
+        assert list(encoding._clauses) == [5]
+        assert encoding._clauses[5] is kept
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n, block, seeds", [
         (5, 25, range(8)), (5, 125, range(8)), (6, 216, range(4))])
     def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, block, seeds):
         # each graph alone on an empty cache, then all of them twice in one
-        # cache: the first graph scans, every later one reads its rows
+        # cache: the first graph scans, every later one reads its columns
         monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         graphs = [random_graph(Random(seed), n, edge_prob=0.3) for seed in seeds]
@@ -314,9 +321,9 @@ class TestSatisfiability:
         assert wants == [is_hamiltonian(g) is not None for g in graphs]
         assert set(wants) == {True, False}
         for g, want in zip(graphs, wants):
-            monkeypatch.setattr(encoding, "_rows", {})
+            monkeypatch.setattr(encoding, "_clauses", {})
             assert satisfiable(g) == want
-        monkeypatch.setattr(encoding, "_rows", {})
+        monkeypatch.setattr(encoding, "_clauses", {})
         for g, want in zip(graphs + graphs, wants + wants):
             assert satisfiable(g) == want
 
@@ -329,18 +336,46 @@ class TestSatisfiability:
 
     def test_import_does_no_scan(self):
         # the scan fills on the first oracle call, never at import
-        self.run_fresh("import nonham.cli, nonham.encoding as e; assert e._rows == {}, e._rows")
+        self.run_fresh("import nonham.cli, nonham.encoding as e\n"
+                       "assert e._clauses == {}, e._clauses\n")
 
-    def test_scan_interns_coverage_only(self):
-        # the complete n=5 graph has no edge_ban, so its call interns only
-        # coverage's variables, disjunction chains and conjunction tree
+    def test_scan_interns_coverage_and_the_clauses_only(self):
+        # the first call at n=5 interns exactly the subformulas of coverage
+        # and of the 80 edge_ban clauses of the empty graph; later graphs,
+        # Hamiltonian or not, intern nothing
         self.run_fresh(
+            "from random import Random\n"
             "from nonham import formulas as f\n"
-            "from nonham.encoding import satisfiable\n"
-            "from nonham.graphs import Graph, ordered_pairs\n"
+            "from nonham.encoding import conjunction, coverage, edge_bans, satisfiable\n"
+            "from nonham.graphs import Graph, is_hamiltonian, ordered_pairs, random_graph\n"
+            "before = set(f._interned.values())\n"
             "assert satisfiable(Graph(5, frozenset(ordered_pairs(5))))\n"
-            "kinds = {node.kind for node in f._interned.values()}\n"
-            "assert kinds == {f.VAR, f.AND, f.OR}, kinds\n")
+            "after = set(f._interned.values())\n"
+            "clauses = list(edge_bans(Graph(5, frozenset())).values())\n"
+            "assert len(clauses) == 80\n"
+            "want = {s for root in [conjunction(coverage(5)), *clauses]\n"
+            "        for s in f.subformulas(root)}\n"
+            "assert after - before == want - before, len(after - before)\n"
+            "assert set(f._interned.values()) == after\n"
+            "verdicts = set()\n"
+            "for seed in range(20):\n"
+            "    g = random_graph(Random(seed), 5, edge_prob=0.4)\n"
+            "    assert satisfiable(g) == (is_hamiltonian(g) is not None)\n"
+            "    verdicts.add(satisfiable(g))\n"
+            "assert verdicts == {True, False}\n"
+            "assert set(f._interned.values()) == after\n")
+
+    @pytest.mark.parametrize("seed, hamiltonian", [(0, True), (2, False)])
+    def test_cold_n8_scan_under_a_raised_cap_matches_path_search(
+            self, monkeypatch, seed, hamiltonian):
+        # above SAT_CAP only a raised cap admits n=8: 512 blocks of 8^5 rows
+        monkeypatch.setattr(encoding, "_clauses", {})
+        g = random_graph(Random(seed), 8, edge_prob=0.3)
+        assert (is_hamiltonian(g) is not None) == hamiltonian
+        with pytest.raises(CapExceededError):
+            satisfiable(g)
+        assert satisfiable(g, cap=8) == hamiltonian
+        assert list(encoding._clauses) == [8]
 
     def test_n7_scan_crosses_blocks_and_matches_path_search(self):
         # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1

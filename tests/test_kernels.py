@@ -13,8 +13,8 @@ from nonham.formulas import (
     subformulas,
     x_var,
 )
-from nonham.kernels import compile_program, eval_words, pack_columns, unpack_rows
-from references import bit_block, eval_formula, step_vertex_block
+from nonham.kernels import compile_program, eval_words
+from references import bit_block, eval_formula, pack_columns, step_vertex_block, unpack_column
 
 ATOMS = [q_var(name) for name in "abcdef"]
 
@@ -49,9 +49,7 @@ class TestCompile:
     def test_compiles_keep_nothing(self):
         f = disj(x_var(3, 1), imp(x_var(1, 3), conj(x_var(3, 1), bot())))
         prog, again = compile_program(f), compile_program(f)
-        assert prog is not again and prog.var_slots == again.var_slots
-        for name in ("kinds", "arg0", "arg1"):
-            assert np.array_equal(getattr(prog, name), getattr(again, name))
+        assert prog is not again and prog == again
 
     def test_var_slots_are_distinct_names(self):
         f = conj(conj(q_var("a"), q_var("b")), conj(q_var("a"), q_var("c")))
@@ -62,27 +60,33 @@ class TestCompile:
     def test_shared_subterms_compile_once(self, f):
         prog = compile_program(f)
         assert prog.node_count == len(set(subformulas(f)))
+        assert prog.roots == (prog.node_count - 1,)
+
+    @given(st.lists(small_formulas(), min_size=0, max_size=4))
+    def test_roots_share_their_subterms(self, fs):
+        prog = compile_program(*fs)
+        assert prog.node_count == len({g for f in fs for g in subformulas(f)})
+        assert len(prog.roots) == len(fs)
+        for f, r in zip(fs, prog.roots):
+            assert prog.kinds[r] == f.kind
 
 
 class TestWordEval:
     @pytest.mark.parametrize("rows", [0, 3, 70])
     def test_constant_programs(self, rows):
-        # no variables, so the word count comes from the columns' shape alone
-        cols = pack_columns(np.zeros((0, rows), dtype=bool))
-        assert cols.shape == (0, -(-rows // 64))
-        assert not unpack_rows(eval_words(compile_program(bot()), cols), rows).any()
-        assert unpack_rows(eval_words(compile_program(imp(bot(), bot())), cols), rows).all()
+        assert eval_words(compile_program(bot()), [], rows) == [0]
+        assert eval_words(compile_program(imp(bot(), bot())), [], rows) == [2**rows - 1]
 
     @given(small_formulas(), st.data())
     @settings(max_examples=60)
     def test_agrees_with_scalar_evaluator(self, f, data):
         # a prefix of the truth table, so most row counts are not a
-        # multiple of 64
+        # multiple of 64; unpack_column refuses any bit past the rows
         prog = compile_program(f)
         table = full_table(prog)
         rows = data.draw(st.integers(0, len(table)))
-        got = unpack_rows(eval_words(prog, pack_columns(table[:rows].T)), rows)
-        assert got.shape == (rows,)
+        [root] = eval_words(prog, pack_columns(table[:rows].T), rows)
+        got = unpack_column(root, rows)
         for row, value in zip(table[:rows], got):
             env = dict(zip(prog.var_slots, (bool(b) for b in row)))
             assert eval_formula(f, env) == bool(value)
@@ -94,39 +98,45 @@ class TestWordEval:
                 disj(conj(names[1], names[2]), imp(names[4], names[6])))
         prog = compile_program(f)
         table = full_table(prog)[:rows]
-        got = unpack_rows(eval_words(prog, pack_columns(table.T)), rows)
+        [root] = eval_words(prog, pack_columns(table.T), rows)
         want = [eval_formula(f, dict(zip(prog.var_slots, map(bool, row)))) for row in table]
-        assert got.tolist() == want
+        assert unpack_column(root, rows).tolist() == want
+
+    @given(st.lists(small_formulas(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=40)
+    def test_each_root_as_if_compiled_alone(self, fs, data):
+        prog = compile_program(*fs)
+        table = full_table(prog)
+        rows = data.draw(st.integers(0, len(table)))
+        cols = dict(zip(prog.var_slots, pack_columns(table[:rows].T)))
+        for f, got in zip(fs, eval_words(prog, list(cols.values()), rows)):
+            alone = compile_program(f)
+            assert eval_words(alone, [cols[name] for name in alone.var_slots], rows) == [got]
 
     @pytest.mark.parametrize("rows", [1, 5, 63, 65, 130])
-    def test_true_on_all_false_row_reports_no_row_past_the_count(self, rows):
+    def test_true_on_all_false_row_sets_no_bit_past_the_count(self, rows):
+        # negation complements within the rows only
         prog = compile_program(imp(q_var("a"), bot()))
-        zeros = np.zeros((rows, 1), dtype=bool)
-        words = eval_words(prog, pack_columns(zeros.T))
-        # the padding bits hold the all-false row too, so the raw words are
-        # all ones; only the first `rows` bits are rows
-        assert words.shape == (-(-rows // 64),)
-        assert (words == np.uint64(2**64 - 1)).all()
-        got = unpack_rows(words, rows)
-        assert got.shape == (rows,) and got.all()
-        assert np.flatnonzero(got).tolist() == list(range(rows))
+        assert eval_words(prog, [0], rows) == [2**rows - 1]
 
-    def test_pack_columns_layout_and_zero_tail(self):
+    def test_pack_columns_layout(self):
         bits = np.zeros((2, 70), dtype=bool)
         bits[0] = True
         bits[1, [0, 3, 64, 69]] = True
         words = pack_columns(bits)
-        assert words.shape == (2, 2)
-        assert words[0].tolist() == [2**64 - 1, 2**6 - 1]
-        assert words[1].tolist() == [0b1001, 0b100001]
-        assert np.array_equal(unpack_rows(words[1], 70), bits[1])
+        assert words == [2**70 - 1, 0b1001 | 0b100001 << 64]
+        assert np.array_equal(unpack_column(words[1], 70), bits[1])
 
-    def test_rejects_wrong_shapes(self):
+    def test_rejects_wrong_columns(self):
         prog = compile_program(conj(q_var("a"), q_var("b")))
         with pytest.raises(ValueError):
-            eval_words(prog, np.zeros(4, dtype=np.uint64))
+            eval_words(prog, [1], 4)
         with pytest.raises(ValueError):
-            eval_words(prog, np.zeros((3, 4), dtype=np.uint64))
+            eval_words(prog, [1, 2, 3], 4)
+        with pytest.raises(ValueError):
+            eval_words(prog, [1, 16], 4)
+        with pytest.raises(ValueError):
+            eval_words(prog, [-1, 1], 4)
 
 
 class TestAssignmentBlocks:
