@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="decide Hamiltonicity two independent ways")
     p.add_argument("graph", help="graph file ('n m' header plus edge lines)")
     p.add_argument("--sat-cap", type=int, default=SAT_CAP,
-                   help="refuse the SAT sweep above this n (default %(default)s)")
+                   help="refuse the SAT check, over n! rows, above this n "
+                        "(default %(default)s)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_oracle)
 

@@ -17,19 +17,20 @@ balanced trees, disjunctions are right-nested chains, and the top level is
 a left fold over the present parts in the order above.
 
 `satisfiable` decides the encoding by brute force through the word kernel.
-Only the n^n functional rows (one vertex per step) need a look, and on
-those the encoding holds exactly when coverage and edge_ban do. Coverage
-depends on n alone, and every graph on n vertices picks its edge_ban
-clauses from the n(n-1)^2 of the empty graph. So the first call for an n
-scans for coverage's rows, the n! permutations, evaluates every possible
-clause over them in one program and keeps each clause's column; a graph
-then ANDs its own clauses' columns and builds no formula.
+Only the functional rows (one vertex per step) need a look, and on those
+the encoding holds exactly when coverage and edge_ban do; coverage holds
+on a functional row exactly when it is a permutation. Every graph on n
+vertices picks its edge_ban clauses from the n(n-1)^2 of the empty graph.
+So the first call for an n evaluates every possible clause over the n!
+permutations in one program and keeps each clause's column; a graph then
+ANDs its own clauses' columns and builds no formula.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import permutations
+from operator import itemgetter
 
 from .errors import CapExceededError
 from .formulas import (
@@ -53,10 +54,6 @@ SAT_CAP = 7
 # conjuncts, and encoding and printing an empty n=27 graph (2 MB of text)
 # takes about a second on a 2-core Xeon VM
 ENCODE_CAP = 27
-
-# rows per block of the SAT scan: a block is the n^k rows that share their
-# leading n-k steps, with k as large as this budget allows
-_BLOCK = 1 << 17
 
 
 @dataclass
@@ -158,7 +155,7 @@ def conjunct_path(enc: PathEncoding, tag: str, pos: int) -> list[str]:
 
 
 def check_sat_cap(n: int, cap: int = SAT_CAP) -> None:
-    """Refuse a satisfiability scan of n^n rows above the cap."""
+    """Refuse a satisfiability check, over n! rows, above the cap."""
     if n > cap:
         raise CapExceededError(f"n={n} exceeds sat cap {cap}")
 
@@ -169,71 +166,9 @@ def check_encode_cap(n: int) -> None:
         raise CapExceededError(f"n={n} exceeds encode cap {ENCODE_CAP}")
 
 
-def _block_steps(n: int) -> int:
-    """k, the number of low steps a block varies: largest with n^k <= _BLOCK, at most n."""
-    k = 0
-    while k < n and n ** (k + 1) <= _BLOCK:
-        k += 1
-    return k
-
-
 def _column(seq: bytes, vertex: int) -> int:
     """The int whose bit r is set exactly when seq[r] is `vertex`."""
     return int(seq.translate(b"0" * vertex + b"1" + b"0" * (255 - vertex))[::-1], 2)
-
-
-def _repeat(x: int, width: int, times: int) -> int:
-    """`times` copies of the `width`-bit pattern x side by side."""
-    out = shift = 0
-    while times:
-        if times & 1:
-            out |= x << shift
-            shift += width
-        x |= x << width
-        width *= 2
-        times >>= 1
-    return out
-
-
-def _low_columns(n: int, k: int) -> list[int]:
-    """Columns of X_{n-k+j+1, v} over one block's n^k rows, item j*n + v - 1:
-    a block's offset spells steps n-k+1..n in base n, step n-k+1 first, so
-    step n-k+j+1 holds each vertex for n^(k-1-j) rows in turn, in every block."""
-    runs = [n ** (k - 1 - j) for j in range(k)]
-    return [_repeat(((1 << run) - 1) << v * run, n * run, n**k // (n * run))
-            for run in runs for v in range(n)]
-
-
-def _low_digits(n: int, k: int) -> list[bytes]:
-    """Vertex of step n-k+j+1 at each of a block's n^k offsets, item j."""
-    return [b"".join(bytes([v]) * n ** (k - 1 - j) for v in range(1, n + 1)) * n**j
-            for j in range(k)]
-
-
-def _prefix(n: int, k: int, block: int) -> list[int]:
-    """Vertices of steps 1..n-k in every row of a block: the base-n digits
-    of `block`, step 1 most significant."""
-    lead = n - k
-    return [block // n ** (lead - step) % n + 1 for step in range(1, lead + 1)]
-
-
-def _block_columns(prog: Program, low: list[int], n: int, k: int, block: int) -> list[int]:
-    """prog's columns over rows block*n^k .. (block+1)*n^k - 1, given `low`,
-    the `_low_columns(n, k)`. Steps 1..n-k do not change inside the block,
-    so their columns are all ones over the block's rows, or zero."""
-    lead, ones = n - k, (1 << n**k) - 1
-    prefix = _prefix(n, k, block)
-    return [low[(name.step - lead - 1) * n + name.vertex - 1] if name.step > lead
-            else ones if prefix[name.step - 1] == name.vertex else 0
-            for name in prog.var_slots]
-
-
-def _block_rows(n: int, k: int, block: int, offsets: list[int],
-                digits: list[bytes]) -> list[bytes]:
-    """Vertex of each step 1..n in rows block*n^k + offsets, one bytes per
-    step, given `digits`, the `_low_digits(n, k)`."""
-    return ([bytes([v]) * len(offsets) for v in _prefix(n, k, block)]
-            + [bytes(map(d.__getitem__, offsets)) for d in digits])
 
 
 def _compile_xvars(*parts: Formula) -> Program:
@@ -247,25 +182,9 @@ def _compile_xvars(*parts: Formula) -> Program:
 def _rows_of(n: int) -> tuple[bytes, ...]:
     """The functional rows that satisfy coverage, which are the n!
     permutations, in base-n order and step-major: item i-1 holds each row's
-    vertex at step i.
-
-    The n^n rows are scanned in blocks of n^k consecutive rows (k set by
-    `_BLOCK`). Inside a block steps 1..n-k are fixed, so their columns are
-    constant; the columns of the low k steps are the same in every block
-    and are built once per scan. Each block's hits are decoded into
-    vertices, and the blocks' vertices are joined once the last is done.
-    """
-    prog = _compile_xvars(conjunction(coverage(n)))
-    k = _block_steps(n)
-    digits = _low_digits(n, k)
-    low = _low_columns(n, k)
-    steps: list[list[bytes]] = [[] for _ in range(n)]
-    for block in range(n ** (n - k)):
-        [hits] = eval_words(prog, _block_columns(prog, low, n, k, block), n**k)
-        offsets = [m.start() for m in re.finditer("1", format(hits, "b")[::-1])]
-        for step, seq in zip(steps, _block_rows(n, k, block, offsets, digits)):
-            step.append(seq)
-    return tuple(b"".join(step) for step in steps)
+    vertex at step i. Lexicographic order of the permutations is base-n
+    order of their rows."""
+    return tuple(bytes(map(itemgetter(i), permutations(range(1, n + 1)))) for i in range(n))
 
 
 # n -> (full, columns): one bit per row `_rows_of(n)` keeps, and edge_ban
@@ -292,7 +211,7 @@ def _clauses_of(n: int) -> tuple[int, dict[tuple[int, int, int], int]]:
 def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     """Brute-force satisfiability of the encoding of g.
 
-    Only functional assignments (exactly one vertex per step) are scanned:
+    Only functional assignments (exactly one vertex per step) are checked:
     step_occupied and step_unique force any satisfying assignment to be
     functional, so the restriction loses nothing. The formula is the
     conjunction of its present parts; on a functional row that holds
@@ -300,11 +219,11 @@ def satisfiable(g: Graph, cap: int = SAT_CAP) -> bool:
     satisfies coverage is a permutation and satisfies repeat_ban,
     step_occupied and step_unique as well.
 
-    The first graph of each n pays for the scan (`_rows_of`) and the clause
-    columns (`_clauses_of`); a scan cut short keeps nothing. This call ANDs
-    the kept columns of g's clauses, those of its missing pairs at every
-    step. With no missing edge there is no edge_ban, and any kept row is a
-    witness.
+    The first graph of each n pays for the clause columns over the
+    permutations (`_clauses_of`); a clause pass cut short keeps nothing,
+    and the next call starts it again. This call ANDs the kept columns of
+    g's clauses, those of its missing pairs at every step. With no missing
+    edge there is no edge_ban, and any kept row is a witness.
     """
     check_sat_cap(g.n, cap)
     holds, columns = _clauses_of(g.n)

@@ -206,16 +206,12 @@ class TestSatisfiability:
             parts = [enc.parts[tag] for tag in enc.present]
             assert reduce(conj, parts) is enc.formula
 
-    @pytest.mark.parametrize("n, block, seeds", [
-        (5, 25, range(8)), (5, 125, range(8)), (6, 216, range(4)),
-        (5, encoding._BLOCK, range(8))])
+    @pytest.mark.parametrize("n, seeds", [
+        (4, range(8)), (5, range(8)), (5, range(8, 16)), (6, range(4)),
+        (6, range(4, 8))])
     def test_part_scan_matches_whole_formula_over_functional_rows(
-            self, monkeypatch, n, block, seeds):
-        # blocks of 25, 125 and 216 rows fix 3, 2 and 3 leading steps, and
-        # none is a whole number of 64-row words; the default budget scans
-        # n=5 as one block
+            self, monkeypatch, n, seeds):
         monkeypatch.setattr(encoding, "_clauses", {})
-        monkeypatch.setattr(encoding, "_BLOCK", block)
         seqs = step_vertex_block(n, 0, n**n)
         verdicts = set()
         for seed in seeds:
@@ -226,14 +222,11 @@ class TestSatisfiability:
             verdicts.add(want)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n, block", [
-        (1, 1), (2, 2), (3, 3), (4, 16), (4, 64), (5, 25), (6, 216)])
-    def test_scan_keeps_exactly_the_rows_of_the_n_only_parts(self, monkeypatch, n, block):
-        # whatever the budget, the kept rows are the rows of the base-n
-        # table on which every present one of coverage, repeat_ban,
-        # step_occupied and step_unique holds, in table order: coverage's
-        # hits need no narrowing by the other three
-        monkeypatch.setattr(encoding, "_BLOCK", block)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_scan_keeps_exactly_the_rows_of_the_n_only_parts(self, n):
+        # the kept rows, the permutations, are the rows of the base-n table
+        # on which every present one of coverage, repeat_ban, step_occupied
+        # and step_unique holds, in table order
         seqs = step_vertex_block(n, 0, n**n)
         parts = encode_graph(Graph(n, frozenset())).parts
         keep = np.ones(n**n, dtype=bool)
@@ -250,48 +243,37 @@ class TestSatisfiability:
         assert list(zip(*rows)) == list(permutations(range(1, n + 1)))
 
     def test_an_interrupted_scan_caches_nothing(self, monkeypatch):
-        # a scan that raises part-way keeps no rows; the next call scans
-        # n=5 again from its first block, and the one after reads the cache
+        # a clause pass that raises keeps no columns; the next call runs
+        # the pass for n=5 again, and the one after reads the cache
         monkeypatch.setattr(encoding, "_clauses", {})
-        monkeypatch.setattr(encoding, "_BLOCK", 25)
         calls = []
-        block_columns = encoding._block_columns
+        eval_words = encoding.eval_words
 
-        def interrupt_third(*args):
+        def interrupt_first(*args):
             calls.append(args[-1])
-            if len(calls) == 3:
+            if len(calls) == 1:
                 raise RuntimeError("interrupted")
-            return block_columns(*args)
+            return eval_words(*args)
 
-        monkeypatch.setattr(encoding, "_block_columns", interrupt_third)
+        monkeypatch.setattr(encoding, "eval_words", interrupt_first)
         ham, nonham = (random_graph(Random(seed), 5, edge_prob=0.3) for seed in (1, 0))
         assert is_hamiltonian(ham) is not None and is_hamiltonian(nonham) is None
         with pytest.raises(RuntimeError, match="interrupted"):
             satisfiable(ham)
-        assert 5 not in encoding._clauses
+        assert encoding._clauses == {}
         assert satisfiable(ham) and not satisfiable(nonham)
-        assert calls == [0, 1, 2, *range(5**3)]
+        assert calls == [120, 120]
         assert list(encoding._clauses) == [5]
 
-    @pytest.mark.parametrize("n, budget", [
-        (1, 1), (2, 1), (3, 2), (3, 3), (3, 9), (4, 3), (4, 16), (4, 64), (4, 256), (5, 25)])
-    def test_block_columns_are_the_packed_rows_of_the_block(self, monkeypatch, n, budget):
-        # every X column of every block, and every row decoded from a block
-        # offset, against the base-n row table
-        monkeypatch.setattr(encoding, "_BLOCK", budget)
-        k = encoding._block_steps(n)
-        assert n**k <= budget and (k == n or n ** (k + 1) > budget)
-        prog = compile_program(encode_graph(Graph(n, frozenset())).parts["coverage"])
-        assert len(prog.var_slots) == n * n
-        low = encoding._low_columns(n, k)
-        digits = encoding._low_digits(n, k)
-        size = n**k
-        for block in range(n ** (n - k)):
-            rows = step_vertex_block(n, block * size, (block + 1) * size)
-            bits = np.array([rows[:, name.step - 1] == name.vertex for name in prog.var_slots])
-            assert encoding._block_columns(prog, low, n, k, block) == pack_columns(bits)
-            seqs = encoding._block_rows(n, k, block, list(range(size)), digits)
-            assert [list(step) for step in seqs] == rows.T.tolist()
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_columns_are_the_packed_rows(self, n):
+        # every vertex's column at every step, against numpy's packing of
+        # the same step's vertices
+        rows = encoding._rows_of(n)
+        for row in rows:
+            for v in range(1, n + 1):
+                [want] = pack_columns([np.frombuffer(row, np.uint8) == v])
+                assert encoding._column(row, v) == want
 
     def test_scans_cache_no_program_per_graph(self, monkeypatch):
         # only the clause columns over the rows that satisfy the n-only
@@ -309,12 +291,11 @@ class TestSatisfiability:
         assert encoding._clauses[5] is kept
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("n, block, seeds", [
-        (5, 25, range(8)), (5, 125, range(8)), (6, 216, range(4))])
-    def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, block, seeds):
+    @pytest.mark.parametrize("n, seeds", [
+        (5, range(8)), (5, range(8, 16)), (6, range(4)), (6, range(4, 8))])
+    def test_cold_and_warm_scans_match_whole_formula(self, monkeypatch, n, seeds):
         # each graph alone on an empty cache, then all of them twice in one
-        # cache: the first graph scans, every later one reads its columns
-        monkeypatch.setattr(encoding, "_BLOCK", block)
+        # cache: the first graph fills the cache, every later one reads it
         seqs = step_vertex_block(n, 0, n**n)
         graphs = [random_graph(Random(seed), n, edge_prob=0.3) for seed in seeds]
         wants = [whole_formula_verdict(g, seqs) for g in graphs]
@@ -339,22 +320,21 @@ class TestSatisfiability:
         self.run_fresh("import nonham.cli, nonham.encoding as e\n"
                        "assert e._clauses == {}, e._clauses\n")
 
-    def test_scan_interns_coverage_and_the_clauses_only(self):
-        # the first call at n=5 interns exactly the subformulas of coverage
-        # and of the 80 edge_ban clauses of the empty graph; later graphs,
-        # Hamiltonian or not, intern nothing
+    def test_scan_interns_the_clauses_only(self):
+        # the first call at n=5 interns exactly the subformulas of the 80
+        # edge_ban clauses of the empty graph; later graphs, Hamiltonian or
+        # not, intern nothing
         self.run_fresh(
             "from random import Random\n"
             "from nonham import formulas as f\n"
-            "from nonham.encoding import conjunction, coverage, edge_bans, satisfiable\n"
+            "from nonham.encoding import edge_bans, satisfiable\n"
             "from nonham.graphs import Graph, is_hamiltonian, ordered_pairs, random_graph\n"
             "before = set(f._interned.values())\n"
             "assert satisfiable(Graph(5, frozenset(ordered_pairs(5))))\n"
             "after = set(f._interned.values())\n"
             "clauses = list(edge_bans(Graph(5, frozenset())).values())\n"
             "assert len(clauses) == 80\n"
-            "want = {s for root in [conjunction(coverage(5)), *clauses]\n"
-            "        for s in f.subformulas(root)}\n"
+            "want = {s for root in clauses for s in f.subformulas(root)}\n"
             "assert after - before == want - before, len(after - before)\n"
             "assert set(f._interned.values()) == after\n"
             "verdicts = set()\n"
@@ -368,7 +348,8 @@ class TestSatisfiability:
     @pytest.mark.parametrize("seed, hamiltonian", [(0, True), (2, False)])
     def test_cold_n8_scan_under_a_raised_cap_matches_path_search(
             self, monkeypatch, seed, hamiltonian):
-        # above SAT_CAP only a raised cap admits n=8: 512 blocks of 8^5 rows
+        # above SAT_CAP only a raised cap admits n=8, with its 40,320
+        # permutations
         monkeypatch.setattr(encoding, "_clauses", {})
         g = random_graph(Random(seed), 8, edge_prob=0.3)
         assert (is_hamiltonian(g) is not None) == hamiltonian
@@ -377,10 +358,7 @@ class TestSatisfiability:
         assert satisfiable(g, cap=8) == hamiltonian
         assert list(encoding._clauses) == [8]
 
-    def test_n7_scan_crosses_blocks_and_matches_path_search(self):
-        # at n=7 the default budget gives 7 blocks of 7^6 rows, with step 1
-        # held constant in each
-        assert encoding._block_steps(7) == 6
+    def test_n7_scan_matches_path_search(self):
         rng = Random(7)
         verdicts = set()
         for p in (0.2, 0.3, 0.3, 0.5):
